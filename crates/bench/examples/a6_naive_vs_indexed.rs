@@ -1,7 +1,7 @@
 //! Experiment A6: indexed/interned evaluator vs the naive reference.
 //!
 //! For each litmus benchmark, builds the exact makeP guess fleet the
-//! Datalog engines run, then evaluates it twice — once with the indexed
+//! Datalog engine runs, then evaluates it twice — once with the indexed
 //! [`Evaluator`] and once with the [`NaiveEvaluator`] reference — walking
 //! guesses in order and stopping at the first one that derives the goal
 //! (the same early-exit the sequential engine takes). Prints the measured

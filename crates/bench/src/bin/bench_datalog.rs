@@ -1,9 +1,9 @@
 //! Datalog-engine benchmark and regression gate.
 //!
-//! Runs the two Datalog engines (`cache-datalog`, `linear-datalog`) on a
-//! fixed litmus subset at `threads = 1` and records, per (benchmark,
-//! engine): best-of-N wall-clock, and the evaluator's deterministic work
-//! counters (join attempts, index builds, index hits).
+//! Runs the Datalog engine (`cache-datalog`) on a fixed litmus subset at
+//! `threads = 1` and records, per (benchmark, engine): best-of-N
+//! wall-clock, and the evaluator's deterministic work counters (join
+//! attempts, index builds, index hits).
 //!
 //! ```text
 //! bench_datalog [--out FILE]        # measure and write FILE (default BENCH_datalog.json)
@@ -21,7 +21,7 @@ use parra_obs::json::{self, ObjWriter, Value};
 use parra_obs::{Level, Recorder};
 use std::process::ExitCode;
 
-/// The litmus subset: every benchmark where the Datalog engines do real
+/// The litmus subset: every benchmark where the Datalog engine does real
 /// work (unsafe ones walk the guess fleet to a winner and extract the
 /// witness; the safe ones saturate every guess).
 const BENCHES: &[&str] = &[
@@ -36,7 +36,7 @@ const BENCHES: &[&str] = &[
     "corr-parameterized",
 ];
 
-const ENGINES: [EngineId; 2] = [EngineId::CacheDatalog, EngineId::LinearDatalog];
+const ENGINES: [EngineId; 1] = [EngineId::CacheDatalog];
 
 /// Timed repetitions per entry; the best is recorded.
 const REPS: usize = 3;

@@ -394,11 +394,7 @@ fn verify_entry(entry: &PlanEntry, copts: &CampaignOptions, rec: &Recorder) -> R
             ..base
         },
         Err(payload) => {
-            let msg: &str = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("panic with non-string payload");
+            let msg = parra_search::panic_message(&*payload);
             Record {
                 error: Some(format!("panicked: {msg}")),
                 duration_us,

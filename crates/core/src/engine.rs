@@ -1,11 +1,12 @@
 //! The uniform engine abstraction and the portfolio race.
 //!
 //! Every decision procedure — the §3 simplified-semantics search, the
-//! two §4 `makeP` Datalog routes, and the bounded concrete-RA baseline —
-//! implements one [`Engine`] trait: *run under this budget, polling this
-//! cancel token, recording into this recorder*. The trait replaces the
-//! ad-hoc per-engine dispatch the verifier used to carry and is what the
-//! portfolio scheduler, the CLI, and batch campaigns program against.
+//! certifying §4 `makeP` Datalog route, and the bounded concrete-RA
+//! baseline — implements one [`Engine`] trait: *run under this budget,
+//! polling this cancel token, recording into this recorder*. The trait
+//! replaces the ad-hoc per-engine dispatch the verifier used to carry and
+//! is what the portfolio scheduler, the CLI, and batch campaigns program
+//! against.
 //!
 //! [`Verifier::race`] builds on it: the selected engines run
 //! concurrently, each on its own OS thread (engines keep their own
@@ -69,9 +70,6 @@ pub struct SimplifiedReachEngine<'v>(&'v Verifier);
 /// [`EngineId::CacheDatalog`] as an [`Engine`].
 pub struct CacheDatalogEngine<'v>(&'v Verifier);
 
-/// [`EngineId::LinearDatalog`] as an [`Engine`].
-pub struct LinearDatalogEngine<'v>(&'v Verifier);
-
 /// [`EngineId::BoundedConcrete`] as an [`Engine`].
 pub struct BoundedConcreteEngine<'v>(&'v Verifier);
 
@@ -105,23 +103,6 @@ impl Engine for CacheDatalogEngine<'_> {
         self.0
             .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
                 self.0.run_datalog(scope, gov)
-            })
-    }
-}
-
-impl Engine for LinearDatalogEngine<'_> {
-    fn id(&self) -> EngineId {
-        EngineId::LinearDatalog
-    }
-    fn run(
-        &self,
-        budget: &ResourceBudget,
-        cancel: &CancelToken,
-        rec: &Recorder,
-    ) -> VerificationResult {
-        self.0
-            .instrumented(self.id(), budget, cancel, rec, |scope, gov| {
-                self.0.run_linear(scope, gov)
             })
     }
 }
@@ -181,7 +162,6 @@ impl Verifier {
         match id {
             EngineId::SimplifiedReach => Box::new(SimplifiedReachEngine(self)),
             EngineId::CacheDatalog => Box::new(CacheDatalogEngine(self)),
-            EngineId::LinearDatalog => Box::new(LinearDatalogEngine(self)),
             EngineId::BoundedConcrete => Box::new(BoundedConcreteEngine(self)),
         }
     }
@@ -613,6 +593,7 @@ impl Verifier {
         };
         let mut report = RunReport::empty(EngineId::CacheDatalog);
         let mut notes = Vec::new();
+        let mut witness_lines = Vec::new();
         // A winning guess is a sound Unsafe witness even if other guesses
         // were cut short; without one, an interrupted fleet is
         // inconclusive, never Safe.
@@ -628,73 +609,11 @@ impl Verifier {
         };
         if let Some(wi) = fleet.winner {
             verdict = Verdict::Unsafe;
-            // Lemma 4.6: re-run only the winning guess with provenance on
-            // and read a bounded-cache schedule off its derivation,
-            // counting intensional atoms only.
-            let (prog, goal) = mk.program(&guesses[wi], target);
-            let plan = plan_cache.lock().expect("plan cache poisoned").plan(&prog);
-            let phases = PhaseTimer::new(rec);
-            let _replay = phases.start(Phase::WitnessReplay);
-            if let Some(w) = witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
-                stats.cache_peak = w.peak_intensional;
-                stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);
-                let occupancy: Vec<u64> = w.occupancy.iter().map(|&c| c as u64).collect();
-                if !occupancy.is_empty() {
-                    rec.record_series("cache_occupancy", occupancy.clone());
-                }
-                report.cache_occupancy = occupancy;
-            }
-        }
-        VerificationResult {
-            verdict,
-            engine: EngineId::CacheDatalog,
-            stats,
-            env_thread_bound: None,
-            witness_lines: vec![],
-            notes,
-            report,
-        }
-    }
-
-    pub(crate) fn run_linear(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
-        if let Some(r) = self.trivially_safe(EngineId::LinearDatalog) {
-            return r;
-        }
-        let target = DatalogTarget::MessageGenerated(self.goal.goal_var, self.goal.goal_val);
-        let (mk, guesses) = match self.makep_setup(rec, EngineId::LinearDatalog) {
-            Ok(x) => x,
-            Err(r) => return *r,
-        };
-        let local_cache;
-        let plan_cache: &std::sync::Mutex<PlanCache> = match self.options.plan_cache.as_ref() {
-            Some(shared) => shared.as_mutex(),
-            None => {
-                local_cache = std::sync::Mutex::new(PlanCache::new());
-                &local_cache
-            }
-        };
-        let fleet = self.datalog_fleet(rec, &mk, &guesses, target, plan_cache, gov);
-        let mut stats = Stats {
-            guesses: guesses.len(),
-            datalog_rules: fleet.rules,
-            datalog_atoms: fleet.atoms,
-            ..Stats::default()
-        };
-        let mut report = RunReport::empty(EngineId::LinearDatalog);
-        let mut notes = Vec::new();
-        let mut witness_lines = Vec::new();
-        let mut verdict = match fleet.interrupted {
-            Some(reason) if fleet.winner.is_none() => {
-                notes.push(format!(
-                    "interrupted ({reason}): not every guess was evaluated; \
-                     partial statistics only, Safe could not be concluded"
-                ));
-                Verdict::Interrupted(reason)
-            }
-            _ => Verdict::Safe,
-        };
-        if let Some(wi) = fleet.winner {
-            verdict = Verdict::Unsafe;
+            // Certify the winning guess: re-run it with provenance on,
+            // read a bounded-cache schedule off its derivation (Lemma
+            // 4.6, intensional atoms only), replay that schedule under
+            // `⊢ₖ`, and cross-check through the Lemma 4.2 cache→linear
+            // translation.
             let (prog, goal) = mk.program(&guesses[wi], target);
             let plan = plan_cache.lock().expect("plan cache poisoned").plan(&prog);
             let phases = PhaseTimer::new(rec);
@@ -746,7 +665,7 @@ impl Verifier {
         }
         VerificationResult {
             verdict,
-            engine: EngineId::LinearDatalog,
+            engine: EngineId::CacheDatalog,
             stats,
             env_thread_bound: None,
             witness_lines,
@@ -878,7 +797,7 @@ mod tests {
             let race = v.race(&EngineId::ALL).expect("no disagreement");
             assert_eq!(race.verdict, seq, "safe={safe}");
             assert_eq!(race.engines, EngineId::ALL.to_vec());
-            assert_eq!(race.results.len(), 4);
+            assert_eq!(race.results.len(), 3);
             if let Some(w) = race.winner {
                 assert!(race.results[w].verdict.is_decided());
                 assert_eq!(race.winner_engine(), Some(race.engines[w]));
@@ -980,12 +899,10 @@ mod tests {
         let e = race_events[0];
         assert!(e
             .fields
-            .contains(&("n_engines".into(), parra_obs::EventValue::U64(4))));
+            .contains(&("n_engines".into(), parra_obs::EventValue::U64(3))));
         assert!(e.fields.contains(&(
             "engines".into(),
-            parra_obs::EventValue::Str(
-                "simplified-reach,cache-datalog,linear-datalog,bounded-concrete".into()
-            )
+            parra_obs::EventValue::Str("simplified-reach,cache-datalog,bounded-concrete".into())
         )));
         assert!(e.fields.contains(&(
             "verdict".into(),

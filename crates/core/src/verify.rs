@@ -62,18 +62,15 @@ pub enum EngineId {
     /// The direct search on the simplified semantics (Section 3) —
     /// the default: exact for the decidable class.
     SimplifiedReach,
-    /// The `makeP` Datalog encoding (Section 4): enumerate guesses,
-    /// evaluate queries. Exact for the decidable class; also reports the
-    /// cache-schedule peak (Lemmas 4.4/4.6).
+    /// The `makeP` Datalog encoding (Section 4): enumerate guesses and
+    /// evaluate each guess's goal query. Exact for the decidable class.
+    /// On `Unsafe`, the winning guess is certified through the paper's
+    /// proof pipeline: its derivation becomes a Lemma 4.6 cache schedule
+    /// (reporting the Lemma 4.4 peak), replayed under the `⊢ₖ` Cache
+    /// semantics and — inside the ≤2-atom-body fragment — cross-checked
+    /// through the Lemma 4.2 cache→linear translation. The result
+    /// carries the certification notes and an inference-step witness.
     CacheDatalog,
-    /// The `makeP` encoding with the full certificate route: the winning
-    /// guess's derivation is turned into a Lemma 4.6 cache schedule,
-    /// replayed under the `⊢ₖ` Cache semantics, and — where the program
-    /// falls in the ≤2-atom-body fragment — cross-checked through the
-    /// Lemma 4.2 cache→linear translation. Same verdicts as
-    /// [`EngineId::CacheDatalog`], plus the certification notes and an
-    /// inference-step witness.
-    LinearDatalog,
     /// Bounded concrete-RA exploration of instances — an
     /// under-approximation: can prove `Unsafe`, never `Safe`.
     BoundedConcrete,
@@ -83,10 +80,9 @@ impl EngineId {
     /// Every engine, in the canonical portfolio order (exact engines
     /// first). This is the `--all-engines` selection and the default
     /// `--race` field.
-    pub const ALL: [EngineId; 4] = [
+    pub const ALL: [EngineId; 3] = [
         EngineId::SimplifiedReach,
         EngineId::CacheDatalog,
-        EngineId::LinearDatalog,
         EngineId::BoundedConcrete,
     ];
 }
@@ -96,10 +92,48 @@ impl fmt::Display for EngineId {
         let s = match self {
             EngineId::SimplifiedReach => "simplified-reach",
             EngineId::CacheDatalog => "cache-datalog",
-            EngineId::LinearDatalog => "linear-datalog",
             EngineId::BoundedConcrete => "bounded-concrete",
         };
         f.write_str(s)
+    }
+}
+
+/// The engine-selection label of a portfolio shape — `race`,
+/// `all-engines`, or a single engine's name. Campaign manifests and
+/// content keys store it, and `parra serve` requests carry it; the text
+/// is part of every stored key, so it must never change. `engines` must
+/// not be empty.
+pub fn selection_label(engines: &[EngineId], race: bool) -> String {
+    if race {
+        "race".to_string()
+    } else if engines.len() > 1 {
+        "all-engines".to_string()
+    } else {
+        engines[0].to_string()
+    }
+}
+
+/// Inverts [`selection_label`]: the engines to run and whether to race
+/// them.
+///
+/// # Errors
+///
+/// A label naming no current engine (there are no aliases for retired
+/// ones).
+pub fn selection_from_label(label: &str) -> Result<(Vec<EngineId>, bool), String> {
+    match label {
+        "race" => Ok((EngineId::ALL.to_vec(), true)),
+        "all-engines" => Ok((EngineId::ALL.to_vec(), false)),
+        single => EngineId::ALL
+            .iter()
+            .find(|e| e.to_string() == single)
+            .map(|&e| (vec![e], false))
+            .ok_or_else(|| {
+                format!(
+                    "unknown engine label `{single}` (expected an engine name, \
+                     all-engines, or race)"
+                )
+            }),
     }
 }
 
@@ -463,18 +497,6 @@ impl fmt::Display for VerifierError {
 
 impl std::error::Error for VerifierError {}
 
-/// Best-effort rendering of a panic payload (`&str` and `String` cover
-/// every `panic!` in this workspace).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The verifier: owns the (goal-transformed) system and dispatches engines.
 #[derive(Debug, Clone)]
 pub struct Verifier {
@@ -775,7 +797,7 @@ impl Verifier {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
             Ok(result) => result,
             Err(payload) => {
-                let msg = panic_message(payload.as_ref());
+                let msg = parra_search::panic_message(&*payload);
                 let note = format!("engine panicked: {msg}; verdict degraded to UNKNOWN");
                 if rec.is_enabled() {
                     // The panic message may carry addresses or other
@@ -986,25 +1008,42 @@ mod tests {
         assert_eq!(r2.verdict, Verdict::Unsafe);
         assert!(r2.stats.guesses >= 1);
         assert!(r2.stats.cache_peak >= 1);
+        assert!(
+            r2.notes.iter().any(|n| n.contains("certified under")),
+            "missing certification note: {:?}",
+            r2.notes
+        );
+        assert!(!r2.witness_lines.is_empty());
+        assert!(r2.witness_lines[0].starts_with("infer "));
         let r3 = v.run(EngineId::BoundedConcrete);
         assert_eq!(r3.verdict, Verdict::Unsafe);
-        let r4 = v.run(EngineId::LinearDatalog);
-        assert_eq!(r4.verdict, Verdict::Unsafe);
-        assert!(r4.stats.cache_peak >= 1);
-        assert!(
-            r4.notes.iter().any(|n| n.contains("certified under")),
-            "missing certification note: {:?}",
-            r4.notes
-        );
-        assert!(!r4.witness_lines.is_empty());
-        assert!(r4.witness_lines[0].starts_with("infer "));
     }
 
     #[test]
-    fn linear_engine_on_safe_handshake() {
+    fn selection_labels_round_trip() {
+        assert_eq!(selection_label(&EngineId::ALL, true), "race");
+        assert_eq!(selection_label(&EngineId::ALL, false), "all-engines");
+        for e in EngineId::ALL {
+            assert_eq!(selection_label(&[e], false), e.to_string());
+            assert_eq!(selection_from_label(&e.to_string()), Ok((vec![e], false)));
+        }
+        assert_eq!(
+            selection_from_label("race"),
+            Ok((EngineId::ALL.to_vec(), true))
+        );
+        assert_eq!(
+            selection_from_label("all-engines"),
+            Ok((EngineId::ALL.to_vec(), false))
+        );
+        let err = selection_from_label("no-such-engine").unwrap_err();
+        assert!(err.contains("unknown engine label"), "{err}");
+    }
+
+    #[test]
+    fn datalog_engine_on_safe_handshake() {
         let sys = handshake(true);
         let v = Verifier::new(&sys, VerifierOptions::default()).unwrap();
-        let r = v.run(EngineId::LinearDatalog);
+        let r = v.run(EngineId::CacheDatalog);
         assert_eq!(r.verdict, Verdict::Safe);
         assert!(r.witness_lines.is_empty());
     }
@@ -1282,12 +1321,7 @@ mod tests {
         };
         let rec = Recorder::enabled(parra_obs::Level::Summary);
         let v = Verifier::new_with_recorder(&sys, opts, rec.clone()).unwrap();
-        for engine in [
-            EngineId::SimplifiedReach,
-            EngineId::CacheDatalog,
-            EngineId::LinearDatalog,
-            EngineId::BoundedConcrete,
-        ] {
+        for engine in EngineId::ALL {
             let r = v.run(engine);
             assert_eq!(
                 r.verdict,
@@ -1311,7 +1345,7 @@ mod tests {
             .filter(|(n, _)| n.ends_with("/interrupted_deadline"))
             .map(|(_, v)| *v)
             .sum();
-        assert_eq!(hits, 4, "counters: {:?}", snap.counters);
+        assert_eq!(hits, 3, "counters: {:?}", snap.counters);
     }
 
     /// Regression: a cancellation that interrupts engine A must not leak
@@ -1342,7 +1376,7 @@ mod tests {
         cancel.cancel();
         let c = v.run_isolated(EngineId::SimplifiedReach);
         assert_eq!(c.verdict, Verdict::Interrupted(InterruptReason::Cancelled));
-        let d = v.run_isolated(EngineId::LinearDatalog);
+        let d = v.run_isolated(EngineId::CacheDatalog);
         assert_eq!(d.verdict, Verdict::Unsafe);
     }
 
@@ -1361,11 +1395,7 @@ mod tests {
             "first report should carry the plan phase: {:?}",
             first.report.phases
         );
-        for engine in [
-            EngineId::CacheDatalog,
-            EngineId::LinearDatalog,
-            EngineId::SimplifiedReach,
-        ] {
+        for engine in [EngineId::CacheDatalog, EngineId::SimplifiedReach] {
             let later = v.run(engine);
             assert!(
                 !has_plan(&later),

@@ -142,7 +142,7 @@ fn linear_cross_check(prog: &Program, goal: &GroundAtom, k: usize) -> LinearChec
 
 /// Renders the schedule's intensional Add steps, capped at `limit` lines
 /// (with a trailing ellipsis line when truncated) — the human-readable
-/// witness of the Datalog engines.
+/// witness of the Datalog engine.
 pub fn render_lines(prog: &Program, witness: &DatalogWitness, limit: usize) -> Vec<String> {
     let edb = MakeP::edb_predicates(prog);
     let adds: Vec<&GroundAtom> = witness

@@ -7,40 +7,53 @@
 //!
 //! The whole integration-test binary runs under a counting allocator
 //! (test binaries get their own process, so the shim does not leak into
-//! other suites).
+//! other suites). The counter is per thread, so allocations by the
+//! harness's own threads (or a sibling test running in parallel) never
+//! land in a test's measured window.
 
 use parra_datalog::ast::{Const, PredId};
 use parra_datalog::TupleStore;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The tests share one process-global allocation counter, so their
-/// measured windows must not overlap: the harness runs tests on
-/// parallel threads by default, and another test's (or the harness's
-/// own) allocations landing inside a window turns a true zero into a
-/// flaky nonzero. Every test holds this lock across its measurement.
+/// Keeps the tests' measured windows apart as a second line of defence
+/// behind the per-thread counter. Poison-tolerant: one failing test must
+/// not turn into three.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised and
+    /// without a destructor, so touching it never allocates — which the
+    /// allocator below relies on.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 /// Counts every allocation and reallocation; frees are irrelevant to the
 /// steady-state property.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -52,8 +65,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 const TUPLES: u32 = 2_000;
@@ -61,7 +75,7 @@ const ARITY: usize = 3;
 
 #[test]
 fn steady_state_intern_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let pred = PredId(0);
     let mut store = TupleStore::new();
     store.reserve(TUPLES as usize, TUPLES as usize * ARITY);
@@ -89,7 +103,7 @@ fn steady_state_intern_allocates_nothing() {
 
 #[test]
 fn lookup_and_duplicate_intern_allocate_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let pred = PredId(0);
     let mut store = TupleStore::new();
     store.reserve(TUPLES as usize, TUPLES as usize * ARITY);
@@ -123,7 +137,7 @@ fn lookup_and_duplicate_intern_allocate_nothing() {
 /// only O(log n) times (amortized doubling), never per tuple.
 #[test]
 fn unreserved_growth_allocates_logarithmically() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let pred = PredId(0);
     let mut store = TupleStore::new();
     let before = allocations();

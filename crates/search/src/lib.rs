@@ -20,6 +20,7 @@
 //! | hash-sharded visited set | [`ShardedIndex`] |
 //! | states + parents + dedup + witness unwind | [`SearchGraph`] |
 //! | race N heterogeneous jobs to the first decisive result | [`race`] |
+//! | render a caught panic's payload | [`panic_message`] |
 //!
 //! The invariant every engine built on this crate maintains: **worker
 //! threads only produce per-item results; all decisions that affect the
@@ -39,6 +40,6 @@ pub mod threads;
 
 pub use frontier::{ordered_map, round_chunk};
 pub use graph::SearchGraph;
-pub use race::{race, RaceOutcome};
+pub use race::{panic_message, race, RaceOutcome};
 pub use shard::ShardedIndex;
 pub use threads::Threads;

@@ -39,7 +39,11 @@ pub struct RaceOutcome<T> {
 /// Sentinel for "no winner claimed yet".
 const NO_WINNER: usize = usize::MAX;
 
-fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Best-effort rendering of a panic payload: `&str` and `String` cover
+/// every `panic!` in this workspace. Pass the payload itself
+/// (`&*boxed`), not the box — a `&Box<dyn Any>` is itself an `Any`
+/// and would never downcast to a string.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -79,7 +83,7 @@ where
         let mut handles = Vec::with_capacity(n);
         for (idx, job) in jobs.into_iter().enumerate() {
             handles.push(scope.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(job)).map_err(payload_msg);
+                let result = catch_unwind(AssertUnwindSafe(job)).map_err(|p| panic_message(&*p));
                 if let Ok(value) = &result {
                     if decisive(value)
                         && winner
@@ -195,5 +199,19 @@ mod tests {
         let err = out.results[0].as_ref().unwrap_err();
         assert!(err.contains("engine exploded"), "got: {err}");
         assert_eq!(out.results[1].as_ref().unwrap(), &7);
+    }
+
+    #[test]
+    fn panic_message_renders_every_payload_shape() {
+        let caught = |f: fn()| catch_unwind(f).unwrap_err();
+        assert_eq!(panic_message(&*caught(|| panic!("static"))), "static");
+        assert_eq!(
+            panic_message(&*caught(|| panic!("formatted {}", 1))),
+            "formatted 1"
+        );
+        assert_eq!(
+            panic_message(&*caught(|| std::panic::panic_any(7u8))),
+            "non-string panic payload"
+        );
     }
 }

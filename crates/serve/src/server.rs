@@ -41,7 +41,7 @@
 //! deterministically.
 
 use crate::proto::{self, ErrorCode, ProtoError, Request, Source, VerifyRequest, PROTO_VERSION};
-use parra_core::verify::{EngineId, SharedPlanCache, Verifier, VerifierOptions};
+use parra_core::verify::{selection_from_label, EngineId, SharedPlanCache, VerifierOptions};
 use parra_core::VerifierCache;
 use parra_limits::{AdmissionGate, CancelToken};
 use parra_obs::json::ObjWriter;
@@ -83,22 +83,6 @@ impl Default for ServeConfig {
             max_in_flight: 64,
             memory_watermark: None,
         }
-    }
-}
-
-/// Parses an engine selection label (the serve-side mirror of the CLI's
-/// `--engine`/`--all-engines`/`--race` resolution).
-pub fn selection_from_label(label: &str) -> Result<(Vec<EngineId>, bool), String> {
-    match label {
-        "race" => Ok((EngineId::ALL.to_vec(), true)),
-        "all-engines" => Ok((EngineId::ALL.to_vec(), false)),
-        single => EngineId::ALL
-            .iter()
-            .find(|e| e.to_string() == single)
-            .map(|&e| (vec![e], false))
-            .ok_or_else(|| {
-                format!("unknown engine label `{single}` (expected an engine name, all-engines, or race)")
-            }),
     }
 }
 
@@ -404,11 +388,13 @@ impl Server {
                 message: e.to_string(),
                 id: Some(req.id.clone()),
             })?;
-        let sel = run_selection_for(&verifier, &engines, race).map_err(|message| ProtoError {
-            code: ErrorCode::Disagreement,
-            message,
-            id: Some(req.id.clone()),
-        })?;
+        let sel = verifier
+            .run_selection(&engines, race)
+            .map_err(|message| ProtoError {
+                code: ErrorCode::Disagreement,
+                message,
+                id: Some(req.id.clone()),
+            })?;
         let duration_us = admitted.elapsed().as_micros() as u64;
 
         if let Some(sink) = &self.events {
@@ -440,17 +426,6 @@ impl Server {
             w.raw_field("volatile", &vol.finish());
         }))
     }
-}
-
-/// Runs the selection through the portfolio's isolated paths (shared
-/// with `parra verify`): sequential selections via `run_isolated`, races
-/// via `race()` — both panic-contained per engine.
-fn run_selection_for(
-    verifier: &Verifier,
-    engines: &[EngineId],
-    race: bool,
-) -> Result<parra_core::SelectionOutcome, String> {
-    verifier.run_selection(engines, race)
 }
 
 fn env_needle_matches(var: &str, name: &str) -> bool {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! parra classify <file.ra>
-//! parra verify   <file.ra> [--engine simplified|datalog|linear|concrete]
+//! parra verify   <file.ra> [--engine simplified|datalog|concrete]
 //!                          [--unroll N] [--all-engines] [--race] [--concretize]
 //!                          [--timeout SECS] [--memory-budget SIZE]
 //!                          [--stats] [--json] [--trace-out FILE]
@@ -97,7 +97,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage:\n  parra classify <file.ra>\n  parra verify <file.ra> \
-     [--engine simplified|datalog|linear|concrete] [--unroll N] [--all-engines] \
+     [--engine simplified|datalog|concrete] [--unroll N] [--all-engines] \
      [--race] [--concretize] [--timeout SECS] [--memory-budget SIZE] [--threads N] \
      [--stats] [--json] [--trace-out FILE] [--events-out FILE] \
      [--metrics-out FILE]\n  \
@@ -478,7 +478,6 @@ fn engine_selection(args: &[String]) -> Result<Vec<EngineId>, String> {
     let engine = match single.as_deref() {
         None | Some("simplified") => EngineId::SimplifiedReach,
         Some("datalog") => EngineId::CacheDatalog,
-        Some("linear") => EngineId::LinearDatalog,
         Some("concrete") => EngineId::BoundedConcrete,
         Some(other) => return Err(format!("unknown engine `{other}`")),
     };
@@ -660,11 +659,7 @@ fn batch(args: &[String]) -> Result<ExitCode, String> {
             }
             Err(payload) => {
                 any_undecided = true;
-                let msg: &str = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("panic with non-string payload");
+                let msg = parra::search::panic_message(&*payload);
                 w.raw_field("verdict", "null");
                 w.raw_field("interrupted", "null");
                 w.str_field("error", &format!("panicked: {msg}"));
@@ -743,7 +738,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         .transpose()?;
     let engines = engine_selection(args)?;
     let race = args.iter().any(|a| a == "--race");
-    let all = args.iter().any(|a| a == "--all-engines");
     let max_queue = flag_value(args, "--max-queue")
         .map(|v| v.parse::<usize>().map_err(|e| format!("--max-queue: {e}")))
         .transpose()?
@@ -761,7 +755,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             memory_budget,
             ..Default::default()
         },
-        engine: selection_label(&engines, race, all),
+        engine: parra::core::selection_label(&engines, race),
         max_in_flight: max_queue,
         memory_watermark: watermark,
     };
@@ -1055,31 +1049,6 @@ fn campaign(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// The engine-selection label stored in manifests and content keys.
-fn selection_label(engines: &[EngineId], race: bool, all: bool) -> String {
-    if race {
-        "race".to_string()
-    } else if all {
-        "all-engines".to_string()
-    } else {
-        engines[0].to_string()
-    }
-}
-
-/// Inverts [`selection_label`] — how `campaign resume` reconstructs the
-/// engine selection from a manifest.
-fn selection_from_label(label: &str) -> Result<(Vec<EngineId>, bool), String> {
-    match label {
-        "race" => Ok((EngineId::ALL.to_vec(), true)),
-        "all-engines" => Ok((EngineId::ALL.to_vec(), false)),
-        single => EngineId::ALL
-            .iter()
-            .find(|e| e.to_string() == single)
-            .map(|&e| (vec![e], false))
-            .ok_or_else(|| format!("manifest: unknown engine label `{single}`")),
-    }
-}
-
 /// Expands positional arguments into the input list (directories expand
 /// to their `.ra` files in sorted order, as in `parra batch`).
 fn campaign_inputs(args: &[String]) -> Result<Vec<String>, String> {
@@ -1130,12 +1099,11 @@ fn campaign_run(args: &[String]) -> Result<ExitCode, String> {
     };
     let engines = engine_selection(args)?;
     let race = args.iter().any(|a| a == "--race");
-    let all = args.iter().any(|a| a == "--all-engines");
     let shard = flag_value(args, "--shard")
         .map(|s| Shard::parse(&s))
         .transpose()?;
     let copts = CampaignOptions {
-        engine_label: selection_label(&engines, race, all),
+        engine_label: parra::core::selection_label(&engines, race),
         engines,
         race,
         options,
@@ -1160,7 +1128,8 @@ fn campaign_resume(args: &[String]) -> Result<ExitCode, String> {
     let store_dir =
         flag_value(args, "--store").ok_or("campaign resume: --store DIR is required")?;
     let (store, manifest) = Store::open(std::path::Path::new(&store_dir))?;
-    let (engines, race) = selection_from_label(&manifest.engine)?;
+    let (engines, race) = parra::core::selection_from_label(&manifest.engine)
+        .map_err(|e| format!("manifest: {e}"))?;
     let threads = flag_value(args, "--threads")
         .map(|v| v.parse::<usize>().map_err(|e| format!("--threads: {e}")))
         .transpose()?;

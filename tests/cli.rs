@@ -86,12 +86,7 @@ fn json_emits_one_object_per_engine() {
         .collect();
     assert_eq!(
         engines,
-        [
-            "simplified-reach",
-            "cache-datalog",
-            "linear-datalog",
-            "bounded-concrete"
-        ]
+        ["simplified-reach", "cache-datalog", "bounded-concrete"]
     );
 }
 
@@ -143,6 +138,20 @@ fn flag_values_are_not_mistaken_for_the_input_path() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(64));
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing input file"));
+}
+
+/// The Datalog engine is one engine: `--engine linear` (the certificate
+/// route, now part of `--engine datalog`) is an unknown engine, not an
+/// alias.
+#[test]
+fn retired_linear_engine_value_is_rejected() {
+    let out = Command::new(BIN)
+        .args(["verify", "--engine", "linear", &example("handshake.ra")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(64));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown engine"), "stderr: {stderr}");
 }
 
 /// Regression test: `--all-engines` used to report the verdict of the

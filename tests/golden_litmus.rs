@@ -1,11 +1,12 @@
-//! Golden-verdict snapshot: every litmus benchmark × all four engines,
+//! Golden-verdict snapshot: every litmus benchmark × all three engines,
 //! with the expected verdict per engine and the §4.3 env-thread bound
 //! pinned in one table.
 //!
 //! The table is the repo's behavioural contract: an engine change that
 //! flips any verdict (or the thread bound) shows up as a readable diff
-//! here, not as a silent drift. To re-pin after an *intended* change,
-//! run
+//! here, not as a silent drift. Every `Unsafe` Datalog verdict must also
+//! come certified (Lemma 4.6 note, Lemma 4.2 note, inference witness).
+//! To re-pin after an *intended* change, run
 //!
 //! ```text
 //! cargo test --test golden_litmus -- --nocapture
@@ -13,47 +14,46 @@
 //!
 //! and paste the printed table over `GOLDEN`.
 
-use parra_core::verify::{EngineId, Verdict, Verifier, VerifierOptions};
+use parra_core::verify::{EngineId, Verdict, VerificationResult, Verifier, VerifierOptions};
 use parra_litmus::all;
 
 /// One pinned row: benchmark name, then the verdict of each engine in
 /// [`ENGINES`] order, then the §4.3 env-thread bound reported by
 /// `simplified-reach` (`-` when none, i.e. safe benchmarks).
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &str, &str, &str, &str, &str)] = &[
-    // (name, simplified-reach, cache-datalog, linear-datalog, bounded-concrete, env-bound)
-    ("producer-consumer", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "3"),
-    ("peterson-ra", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("peterson-ra-bratosz", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("dekker", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("lamport-2-ra", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
-    ("lamport-2-3-ra", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
-    ("spinlock-cas", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("rcu", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("barrier", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("chase-lev-deque", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("histogram", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("kmeans", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("linear-regression", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("matrix-multiply", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("pca", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("string-match", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("word-count", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("sort-pthread", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("mp", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("sb", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
-    ("lb", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("iriw", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("wrc", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("corr", "SAFE", "SAFE", "SAFE", "UNKNOWN", "-"),
-    ("corr-parameterized", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
-    ("2+2w", "UNSAFE", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
+const GOLDEN: &[(&str, &str, &str, &str, &str)] = &[
+    // (name, simplified-reach, cache-datalog, bounded-concrete, env-bound)
+    ("producer-consumer", "UNSAFE", "UNSAFE", "UNSAFE", "3"),
+    ("peterson-ra", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("peterson-ra-bratosz", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("dekker", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("lamport-2-ra", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
+    ("lamport-2-3-ra", "UNSAFE", "UNSAFE", "UNSAFE", "4"),
+    ("spinlock-cas", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("rcu", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("barrier", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("chase-lev-deque", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("histogram", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("kmeans", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("linear-regression", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("matrix-multiply", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("pca", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("string-match", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("word-count", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("sort-pthread", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("mp", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("sb", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
+    ("lb", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("iriw", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("wrc", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("corr", "SAFE", "SAFE", "UNKNOWN", "-"),
+    ("corr-parameterized", "UNSAFE", "UNSAFE", "UNSAFE", "2"),
+    ("2+2w", "UNSAFE", "UNSAFE", "UNSAFE", "0"),
 ];
 
-const ENGINES: [EngineId; 4] = [
+const ENGINES: [EngineId; 3] = [
     EngineId::SimplifiedReach,
     EngineId::CacheDatalog,
-    EngineId::LinearDatalog,
     EngineId::BoundedConcrete,
 ];
 
@@ -67,8 +67,36 @@ fn verdict_str(v: Verdict) -> &'static str {
     }
 }
 
-/// Runs the full matrix and renders one row per benchmark.
-fn actual_rows() -> Vec<(String, [String; 5])> {
+/// What an `Unsafe` `cache-datalog` result must carry: the Lemma 4.6
+/// certification note, a Lemma 4.2 note, and an inference-step witness.
+/// Returns one line per missing piece.
+fn certification_gaps(name: &str, r: &VerificationResult) -> Vec<String> {
+    let mut gaps = Vec::new();
+    if !r.notes.iter().any(|n| n.contains("certified under ⊢ₖ")) {
+        gaps.push(format!(
+            "{name}: no Lemma 4.6 certification note in {:?}",
+            r.notes
+        ));
+    }
+    if !r.notes.iter().any(|n| n.contains("Lemma 4.2")) {
+        gaps.push(format!("{name}: no Lemma 4.2 note in {:?}", r.notes));
+    }
+    if !r
+        .witness_lines
+        .first()
+        .is_some_and(|l| l.starts_with("infer "))
+    {
+        gaps.push(format!(
+            "{name}: witness does not start with an inference step: {:?}",
+            r.witness_lines.first()
+        ));
+    }
+    gaps
+}
+
+/// Runs the full matrix and renders one row per benchmark. Certification
+/// gaps of `Unsafe` Datalog results are appended to `gaps`.
+fn actual_rows(gaps: &mut Vec<String>) -> Vec<(String, [String; 4])> {
     all()
         .iter()
         .map(|bench| {
@@ -79,6 +107,9 @@ fn actual_rows() -> Vec<(String, [String; 5])> {
             for engine in ENGINES {
                 let r = verifier.run(engine);
                 cells.push(verdict_str(r.verdict).to_string());
+                if engine == EngineId::CacheDatalog && r.verdict == Verdict::Unsafe {
+                    gaps.extend(certification_gaps(bench.name, &r));
+                }
                 if engine == EngineId::SimplifiedReach {
                     if let Some(b) = r.env_thread_bound {
                         env_bound = b.to_string();
@@ -86,18 +117,18 @@ fn actual_rows() -> Vec<(String, [String; 5])> {
                 }
             }
             cells.push(env_bound);
-            let cells: [String; 5] = cells.try_into().unwrap();
+            let cells: [String; 4] = cells.try_into().unwrap();
             (bench.name.to_string(), cells)
         })
         .collect()
 }
 
-fn render(rows: &[(String, [String; 5])]) -> String {
+fn render(rows: &[(String, [String; 4])]) -> String {
     let mut out = String::new();
     for (name, c) in rows {
         out.push_str(&format!(
-            "    (\"{name}\", \"{}\", \"{}\", \"{}\", \"{}\", \"{}\"),\n",
-            c[0], c[1], c[2], c[3], c[4]
+            "    (\"{name}\", \"{}\", \"{}\", \"{}\", \"{}\"),\n",
+            c[0], c[1], c[2], c[3]
         ));
     }
     out
@@ -105,8 +136,8 @@ fn render(rows: &[(String, [String; 5])]) -> String {
 
 #[test]
 fn golden_verdicts_match() {
-    let rows = actual_rows();
     let mut drift: Vec<String> = Vec::new();
+    let rows = actual_rows(&mut drift);
 
     if GOLDEN.len() != rows.len() {
         drift.push(format!(
@@ -119,11 +150,10 @@ fn golden_verdicts_match() {
         match GOLDEN.iter().find(|g| g.0 == name) {
             None => drift.push(format!("{name}: missing from GOLDEN")),
             Some(g) => {
-                let pinned = [g.1, g.2, g.3, g.4, g.5];
+                let pinned = [g.1, g.2, g.3, g.4];
                 let labels = [
                     "simplified-reach",
                     "cache-datalog",
-                    "linear-datalog",
                     "bounded-concrete",
                     "env-bound",
                 ];
