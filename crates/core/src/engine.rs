@@ -35,6 +35,8 @@ use parra_ra::Instance;
 use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachOutcome, Reachability, SimpTarget};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A verification engine: one decision procedure over the verifier's
@@ -334,7 +336,8 @@ pub struct SelectionOutcome {
 
 /// Aggregate outcome of the Datalog guess fleet.
 struct FleetOutcome {
-    /// Max rule count over the evaluated guess programs.
+    /// Max full-program rule count (base ⊕ extension) over the evaluated
+    /// guesses.
     rules: usize,
     /// Max derived-atom count over the evaluated guess databases.
     atoms: usize,
@@ -452,114 +455,161 @@ impl Verifier {
     /// Returns the max program/database sizes seen and the lowest-index
     /// winning guess (`None` means every query completed without the
     /// goal: `Safe`).
+    ///
+    /// The fleet is incremental: the guess-invariant
+    /// [`Base`](crate::makep::Base) is encoded and saturated once (with
+    /// every thread on its delta batches), and each guess only encodes its
+    /// [`Extension`](crate::makep::Extension) and continues a copy of
+    /// the saturated base database with it ([`Evaluator::extend`]).
     fn datalog_fleet(
         &self,
         rec: &Recorder,
         mk: &MakeP,
         guesses: &[Guess],
         target: DatalogTarget,
-        cache: &std::sync::Mutex<PlanCache>,
+        cache: &Mutex<PlanCache>,
         gov: &ResourceBudget,
     ) -> FleetOutcome {
         let n_workers = self.options.threads.max(1);
-        // With a single guess there is no fleet to parallelize; hand the
-        // thread budget to the evaluator's delta batches instead.
-        let eval_threads = if guesses.len() <= 1 { n_workers } else { 1 };
-        let found = std::sync::atomic::AtomicBool::new(false);
-        let next = std::sync::atomic::AtomicUsize::new(0);
         let n_guesses = guesses.len();
-        let interrupted: std::sync::Mutex<Option<InterruptReason>> = std::sync::Mutex::new(None);
-        // Per-guess records: (guess index, rules, atoms, derived goal).
-        let records: Vec<(usize, usize, usize, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    let found = &found;
-                    let next = &next;
-                    let interrupted = &interrupted;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            if found.load(std::sync::atomic::Ordering::Relaxed) {
-                                break;
-                            }
-                            // Round granularity for the fleet is one guess;
-                            // the evaluator below also checks per
-                            // semi-naive round within a guess.
-                            if let Err(reason) = gov.check() {
+        let base = mk.base(guesses, target);
+        let base_plan = cache
+            .lock()
+            .expect("plan cache poisoned")
+            .plan(base.program());
+        let goal = base.goal();
+        // Round events stay deterministic only when a single guess runs
+        // (the fleet races workers, so multi-guess schedules are
+        // timing-bound); the base evaluation is deterministic either way.
+        let evaluator = |threads: usize| {
+            Evaluator::with_plan(base.program(), Arc::clone(&base_plan))
+                .with_recorder(rec.clone())
+                .with_events(n_guesses == 1)
+                .with_threads(threads)
+                .with_governor(gov.clone())
+        };
+        let base_db = evaluator(n_workers).run_until(Some(goal));
+        let base_rules = base.program().rules().len();
+        rec.counter("base_rules").add(base_rules as u64);
+        rec.counter("base_atoms").add(base_db.len() as u64);
+        let ext_rules_encoded = rec.counter("ext_rules_encoded");
+        let mut out = FleetOutcome {
+            rules: 0,
+            atoms: base_db.len(),
+            winner: None,
+            interrupted: None,
+        };
+        if base_db.contains(goal) {
+            // Datalog is monotone: every guess's program contains the
+            // base, so every guess derives the goal.
+            out.winner = (n_guesses > 0).then_some(0);
+        } else if let Some(reason) = base_db.interrupted() {
+            out.interrupted = Some(reason);
+        } else {
+            // With a single guess there is no fleet to parallelize; hand
+            // the thread budget to the evaluator's delta batches instead.
+            let guess_eval = evaluator(if n_guesses <= 1 { n_workers } else { 1 });
+            let found = AtomicBool::new(false);
+            let next = AtomicUsize::new(0);
+            let interrupted: Mutex<Option<InterruptReason>> = Mutex::new(None);
+            // Per-guess records: (guess index, rules, atoms, derived goal).
+            let records: Vec<(usize, usize, usize, bool)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..n_workers)
+                    .map(|_| {
+                        let (found, next, interrupted) = (&found, &next, &interrupted);
+                        let (base, base_db, base_plan) = (&base, &base_db, &base_plan);
+                        let (guess_eval, ext_rules_encoded) = (&guess_eval, &ext_rules_encoded);
+                        scope.spawn(move || {
+                            let mut local = Vec::new();
+                            let stop = |reason: InterruptReason| {
                                 let mut slot = interrupted.lock().expect("interrupt slot poisoned");
                                 slot.get_or_insert(reason);
-                                break;
-                            }
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= guesses.len() {
-                                break;
-                            }
-                            rec.heartbeat(|| format!("datalog: guess {i}/{n_guesses}"));
-                            let (prog, goal) = mk.program(&guesses[i], target);
-                            // Guess programs share rule lists; the cache
-                            // hands every worker the same plan after the
-                            // first computes it.
-                            let plan = cache.lock().expect("plan cache poisoned").plan(&prog);
-                            // Round events stay deterministic only when a
-                            // single guess runs (the fleet races workers,
-                            // so multi-guess schedules are timing-bound).
-                            let db = Evaluator::with_plan(&prog, plan)
-                                .with_recorder(rec.clone())
-                                .with_events(n_guesses == 1)
-                                .with_threads(eval_threads)
-                                .with_governor(gov.clone())
-                                .run_until(Some(&goal));
-                            let won = db.contains(&goal);
-                            if let Some(reason) = db.interrupted() {
-                                // The partial database is a sound under-
-                                // approximation: "goal not derived" proves
-                                // nothing for this guess.
-                                let mut slot = interrupted.lock().expect("interrupt slot poisoned");
-                                slot.get_or_insert(reason);
-                                if !won {
+                            };
+                            while !found.load(Ordering::Relaxed) {
+                                // Round granularity for the fleet is one
+                                // guess; the evaluator below also checks
+                                // per semi-naive round within a guess.
+                                if let Err(reason) = gov.check() {
+                                    stop(reason);
+                                    break;
+                                }
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= n_guesses {
+                                    break;
+                                }
+                                rec.heartbeat(|| format!("datalog: guess {i}/{n_guesses}"));
+                                let ext = mk.extension(base, &guesses[i]);
+                                ext_rules_encoded.add(ext.len() as u64);
+                                let plan = cache
+                                    .lock()
+                                    .expect("plan cache poisoned")
+                                    .plan_extension(base_plan, ext.rules());
+                                let db = guess_eval
+                                    .extend(base_db, ext.facts(), ext.rules(), &plan, Some(goal))
+                                    .unwrap_or_else(|e| {
+                                        panic!("makeP extension of guess {i} rejected: {e}")
+                                    });
+                                let won = db.contains(goal);
+                                if let Some(reason) = db.interrupted() {
+                                    // The partial database is a sound
+                                    // under-approximation: "goal not
+                                    // derived" proves nothing for this guess.
+                                    stop(reason);
+                                    if !won {
+                                        break;
+                                    }
+                                }
+                                local.push((i, base_rules + ext.len(), db.len(), won));
+                                if won {
+                                    found.store(true, Ordering::Relaxed);
                                     break;
                                 }
                             }
-                            local.push((i, prog.rules().len(), db.len(), won));
-                            if won {
-                                found.store(true, std::sync::atomic::Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        local
+                            local
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("guess worker panicked"))
-                .collect()
-        });
-        let mut out = FleetOutcome {
-            rules: 0,
-            atoms: 0,
-            winner: None,
-            interrupted: interrupted.into_inner().expect("interrupt slot poisoned"),
-        };
-        for &(i, rules, atoms, won) in &records {
-            out.rules = out.rules.max(rules);
-            out.atoms = out.atoms.max(atoms);
-            if won {
-                out.winner = Some(out.winner.map_or(i, |w: usize| w.min(i)));
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("guess worker panicked"))
+                    .collect()
+            });
+            out.interrupted = interrupted.into_inner().expect("interrupt slot poisoned");
+            for &(i, rules, atoms, won) in &records {
+                out.rules = out.rules.max(rules);
+                out.atoms = out.atoms.max(atoms);
+                if won {
+                    out.winner = Some(out.winner.map_or(i, |w: usize| w.min(i)));
+                }
             }
         }
+        if out.winner == Some(0) && out.rules == 0 {
+            // The base alone decided: report the winner's full program
+            // size, as if it had been evaluated.
+            out.rules = base_rules + mk.extension(&base, &guesses[0]).len();
+        }
         if rec.is_enabled() {
-            // Which guesses got evaluated (and so the maxima, and even the
-            // winning index when several guesses win) depends on worker
-            // timing — everything but the guess count is volatile.
+            // The base is guess-independent and evaluated
+            // deterministically; which guesses got evaluated (and so the
+            // maxima, the extension work, and even the winning index when
+            // several guesses win) depends on worker timing.
             let mut vol: Vec<(&str, u64)> = vec![
                 ("rules_max", out.rules as u64),
                 ("atoms_max", out.atoms as u64),
+                ("ext_rules_encoded", ext_rules_encoded.get()),
             ];
             if let Some(w) = out.winner {
                 vol.push(("winner", w as u64));
             }
-            rec.event_with("fleet", &[("n_guesses", n_guesses.into())], &vol);
+            rec.event_with(
+                "fleet",
+                &[
+                    ("n_guesses", n_guesses.into()),
+                    ("base_rules", base_rules.into()),
+                    ("base_atoms", base_db.len().into()),
+                ],
+                &vol,
+            );
         }
         out
     }
@@ -577,10 +627,10 @@ impl Verifier {
         // place of the run-local one; plans are deterministic, so the
         // only difference is who pays for planning.
         let local_cache;
-        let plan_cache: &std::sync::Mutex<PlanCache> = match self.options.plan_cache.as_ref() {
+        let plan_cache: &Mutex<PlanCache> = match self.options.plan_cache.as_ref() {
             Some(shared) => shared.as_mutex(),
             None => {
-                local_cache = std::sync::Mutex::new(PlanCache::new());
+                local_cache = Mutex::new(PlanCache::new());
                 &local_cache
             }
         };
@@ -618,7 +668,14 @@ impl Verifier {
             let plan = plan_cache.lock().expect("plan cache poisoned").plan(&prog);
             let phases = PhaseTimer::new(rec);
             let _replay = phases.start(Phase::WitnessReplay);
-            match witness::extract(&prog, &goal, rec, self.options.threads, Some(plan)) {
+            match witness::extract_with_budget(
+                &prog,
+                &goal,
+                rec,
+                self.options.threads,
+                Some(plan),
+                gov,
+            ) {
                 Some(w) => {
                     stats.cache_peak = w.peak_intensional;
                     stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);
@@ -655,6 +712,11 @@ impl Verifier {
                              ≤2-atom-body fragment"
                                 .into(),
                         ),
+                        // The winning guess is sound on its own; only the
+                        // extra cross-check is missing.
+                        LinearCheck::Interrupted(reason) => {
+                            notes.push(format!("Lemma 4.2 cross-check interrupted ({reason})"))
+                        }
                     }
                     witness_lines = witness::render_lines(&prog, &w, 64);
                 }

@@ -33,8 +33,24 @@
 //! polynomial in the system size — the shape behind Theorem 4.1. Rules
 //! have at most two *intensional* body atoms (a thread predicate and a
 //! message predicate), the property the cache bound of Lemma 4.4 exploits.
+//!
+//! **Base and extension.** A guess fixes only the `dis` part, so a fleet's
+//! programs share everything else: [`MakeP::base`] encodes it once (all
+//! predicate and constant declarations, the timeline EDB, the initial
+//! `dmp`/`etp` facts, the `env` rules, the goal rules, and the
+//! `gapstore_x` facts of gaps no fleet guess closes), and
+//! [`MakeP::extension`] encodes one guess's rest (the `dtp` seeds, the
+//! held-back `gapstore_x` facts the guess leaves open, the `dis` rules).
+//! [`MakeP::program`] is base ⊕ extension. Evaluating a guess as "the
+//! saturated base model, continued with the extension" is sound and
+//! complete: Datalog is monotone, so the base model lies inside every
+//! guess's model; held-back gaps are re-added by exactly the guesses that
+//! leave them open; and every extension rule reads a `dtp` atom, of which
+//! the base model has none, so no extension rule can fire on base atoms
+//! alone — delta-seeded continuation from the extension's facts misses
+//! nothing (see `parra_datalog::eval::Evaluator::extend`).
 
-use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Term};
+use parra_datalog::ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Term};
 use parra_obs::{Counter, Recorder};
 use parra_program::cfg::{Cfa, Instr, Loc};
 use parra_program::expr::RegVal;
@@ -419,9 +435,155 @@ impl<'s> MakeP<'s> {
         )
     }
 
-    /// Emits the Datalog query instance `(Prog, goal)` for one guess.
+    /// Emits the Datalog query instance `(Prog, goal)` for one guess: the
+    /// base of the one-guess fleet `[guess]` ⊕ the guess's extension.
     pub fn program(&self, guess: &Guess, target: DatalogTarget) -> (Program, GroundAtom) {
-        Encoder::new(self, guess, target).build()
+        let base = self.base(std::slice::from_ref(guess), target);
+        let ext = self.extension(&base, guess);
+        base.into_program(&ext)
+    }
+
+    /// Encodes the guess-invariant part of the programs of `fleet`: every
+    /// predicate and constant declaration, the timeline EDB, the initial
+    /// messages and `env` thread, the `env` rules and the goal rules. The
+    /// `gapstore_x` facts of gaps that some guess in `fleet` closes are
+    /// held back; each [`MakeP::extension`] re-adds those its guess leaves
+    /// open.
+    pub fn base(&self, fleet: &[Guess], target: DatalogTarget) -> Base {
+        let mut held_back = vec![BTreeSet::new(); self.sys.n_vars() as usize];
+        for guess in fleet {
+            for (x, gap) in self.closed_gaps(guess) {
+                held_back[x.index()].insert(gap);
+            }
+        }
+        BaseEncoder::new(self, target, held_back).build()
+    }
+
+    /// Encodes `guess`'s part of its program over `base`: the `dtp` seed
+    /// facts, the held-back `gapstore_x` facts of the gaps the guess leaves
+    /// open, and the `dis` rules (plus, for
+    /// [`DatalogTarget::AssertViolation`], the `dis` goal rules). Every
+    /// extension rule reads a `dtp` atom, and the base model has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `guess` closes a gap `base` does not hold back — i.e. it
+    /// was not part of the fleet `base` was built for.
+    pub fn extension(&self, base: &Base, guess: &Guess) -> Extension {
+        let mut ext = Extension::default();
+        let syms = &base.syms;
+        let zero: Vec<Const> = (0..syms.n_vars).map(|_| syms.t(ATime::ZERO)).collect();
+        for ti in 0..guess.dis.len() {
+            ext.facts
+                .push(GroundAtom::new(syms.dtp[ti][0], zero.clone()));
+        }
+        let mut closed = vec![BTreeSet::new(); syms.n_vars];
+        for (x, gap) in self.closed_gaps(guess) {
+            assert!(
+                base.held_back[x.index()].contains(&gap),
+                "guess closes gap {gap} of variable {} that the base does not hold back",
+                x.0
+            );
+            closed[x.index()].insert(gap);
+        }
+        for (x, held) in base.held_back.iter().enumerate() {
+            for &g in held.difference(&closed[x]) {
+                let cg = syms.t(ATime::Plus(g));
+                for &a in self.timeline.iter().filter(|a| a.floor() <= g) {
+                    ext.facts
+                        .push(GroundAtom::new(syms.gapstore[x], vec![syms.t(a), cg]));
+                }
+            }
+        }
+        self.emit_dis_rules(syms, guess, &mut ext.rules);
+        if base.target == DatalogTarget::AssertViolation {
+            // dis asserts: positions whose next edge is an assert.
+            for (ti, skel) in guess.dis.iter().enumerate() {
+                let cfa = self.sys.dis[ti].cfa_arc();
+                for (pos, step) in skel.steps.iter().enumerate() {
+                    if matches!(cfa.edges()[step.edge].instr, Instr::AssertFalse) {
+                        let v = syms.vvec(0);
+                        ext.rules.emit(
+                            Atom::new(syms.goal, vec![]),
+                            vec![Atom::new(syms.dtp[ti][pos], v)],
+                        );
+                    }
+                }
+            }
+        }
+        debug_assert!(ext
+            .rules
+            .iter()
+            .all(|r| base.prog.validate(&r.head, &r.body).is_ok()));
+        ext
+    }
+
+    /// The gaps `(x, g)` whose `gapstore_x` facts `guess` excludes: an
+    /// integer-read CAS at slot `s` closes gap `s - 1` of its variable.
+    fn closed_gaps(&self, guess: &Guess) -> Vec<(VarId, u32)> {
+        let mut out = Vec::new();
+        for (ti, skel) in guess.dis.iter().enumerate() {
+            let cfa = self.sys.dis[ti].cfa();
+            for step in &skel.steps {
+                if let Instr::Cas(x, ..) = &cfa.edges()[step.edge].instr {
+                    if step.cas_read == Some(CasRead::IntSlot) {
+                        let slot = step.slot.expect("cas step has a slot");
+                        out.push((*x, slot - 1));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Dis rules along the guessed skeletons.
+    fn emit_dis_rules(&self, syms: &Symbols, guess: &Guess, out: &mut impl Sink) {
+        let sys = self.sys;
+        let dom = sys.dom;
+        for (ti, skel) in guess.dis.iter().enumerate() {
+            let cfa = sys.dis[ti].cfa_arc();
+            let mut rv = RegVal::new(sys.dis[ti].n_regs() as usize);
+            for (pos, step) in skel.steps.iter().enumerate() {
+                let src = syms.dtp[ti][pos];
+                let dst = syms.dtp[ti][pos + 1];
+                let src_atom = Atom::new(src, syms.vvec(0));
+                let edge = &cfa.edges()[step.edge];
+                match &edge.instr {
+                    Instr::Skip | Instr::AssertFalse => {
+                        let v = syms.vvec(0);
+                        out.emit(Atom::new(dst, v.clone()), vec![Atom::new(src, v)]);
+                    }
+                    Instr::Assume(e) => {
+                        debug_assert!(e.eval(&rv, dom).as_bool());
+                        let v = syms.vvec(0);
+                        out.emit(Atom::new(dst, v.clone()), vec![Atom::new(src, v)]);
+                    }
+                    Instr::Assign(r, e) => {
+                        rv.set(*r, e.eval(&rv, dom));
+                        let v = syms.vvec(0);
+                        out.emit(Atom::new(dst, v.clone()), vec![Atom::new(src, v)]);
+                    }
+                    Instr::Load(r, x) => {
+                        let d = step.loaded.expect("load step carries a value");
+                        syms.load_rules(out, src_atom, dst, *x, d);
+                        rv.set(*r, d);
+                    }
+                    Instr::Store(x, e) => {
+                        let d = e.eval(&rv, dom);
+                        let slot = step.slot.expect("store step carries a slot");
+                        syms.dis_store_rules(out, src_atom, dst, *x, d, slot);
+                    }
+                    Instr::Cas(x, e1, e2) => {
+                        let d1 = e1.eval(&rv, dom);
+                        debug_assert_eq!(step.loaded, Some(d1));
+                        let d2 = e2.eval(&rv, dom);
+                        let slot = step.slot.expect("cas step carries a slot");
+                        let read = step.cas_read.expect("cas step carries a read kind");
+                        syms.dis_cas_rules(out, src_atom, dst, *x, (d1, d2), slot, read);
+                    }
+                }
+            }
+        }
     }
 
     /// The extensional (side-condition) predicates of a generated program —
@@ -443,16 +605,102 @@ impl<'s> MakeP<'s> {
     }
 }
 
-/// Builds one Datalog program.
-struct Encoder<'a, 's> {
-    mk: &'a MakeP<'s>,
-    guess: &'a Guess,
-    target: DatalogTarget,
+/// The guess-invariant part of a fleet's `makeP` programs
+/// ([`MakeP::base`]). Its program declares every predicate and constant
+/// any extension of the fleet uses, so extensions are plain rule lists
+/// over the same ids.
+#[derive(Debug, Clone)]
+pub struct Base {
     prog: Program,
+    goal: GroundAtom,
+    target: DatalogTarget,
+    syms: Symbols,
+    /// Per variable, the gaps some fleet guess closes: their `gapstore_x`
+    /// facts are held back to the extensions that leave them open.
+    held_back: Vec<BTreeSet<u32>>,
+}
+
+impl Base {
+    /// The base program.
+    pub fn program(&self) -> &Program {
+        &self.prog
+    }
+
+    /// The query atom `goal()`.
+    pub fn goal(&self) -> &GroundAtom {
+        &self.goal
+    }
+
+    /// The full program base ⊕ `ext` and its goal.
+    pub fn into_program(mut self, ext: &Extension) -> (Program, GroundAtom) {
+        for f in &ext.facts {
+            self.prog
+                .fact(f.pred, f.args.clone())
+                .expect("extension facts use base predicates");
+        }
+        for r in &ext.rules {
+            self.prog.emit(r.head.clone(), r.body.clone());
+        }
+        (self.prog, self.goal)
+    }
+}
+
+/// One guess's part of its `makeP` program over a [`Base`]'s predicates
+/// and constants ([`MakeP::extension`]).
+#[derive(Debug, Clone, Default)]
+pub struct Extension {
+    facts: Vec<GroundAtom>,
+    rules: Vec<Rule>,
+}
+
+impl Extension {
+    /// The seed facts: `dtp` at position 0 and the held-back `gapstore_x`
+    /// facts this guess leaves open.
+    pub fn facts(&self) -> &[GroundAtom] {
+        &self.facts
+    }
+
+    /// The rules (no facts), each reading a `dtp` atom.
+    pub fn rules(&self) -> &[Rule] {
+        &self.rules
+    }
+
+    /// Facts plus rules: what encoding this guess costs.
+    pub fn len(&self) -> usize {
+        self.facts.len() + self.rules.len()
+    }
+
+    /// Whether the extension adds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Where emitted rules go: the base program (validated on insertion) or
+/// an extension's rule list (validated against the base in debug builds).
+trait Sink {
+    fn emit(&mut self, head: Atom, body: Vec<Atom>);
+}
+
+impl Sink for Program {
+    fn emit(&mut self, head: Atom, body: Vec<Atom>) {
+        self.rule(head, body)
+            .expect("makeP emits well-formed rules");
+    }
+}
+
+impl Sink for Vec<Rule> {
+    fn emit(&mut self, head: Atom, body: Vec<Atom>) {
+        self.push(Rule { head, body });
+    }
+}
+
+/// The predicate and constant ids of a base program.
+#[derive(Debug, Clone)]
+struct Symbols {
     n_vars: usize,
     /// Constant per abstract timestamp.
     tc: HashMap<ATime, Const>,
-    // Predicates.
     tle: PredId,
     tlt: PredId,
     tmax: PredId,
@@ -461,92 +709,16 @@ struct Encoder<'a, 's> {
     goal: PredId,
     emp: HashMap<(VarId, Val), PredId>,
     dmp: HashMap<(VarId, Val), PredId>,
-    /// env control-state predicates: (loc, rv) → pred.
+    /// env control-state predicates: (loc, rv) → pred, declared as the
+    /// env rules reach them.
     etp: HashMap<(Loc, RegVal), PredId>,
-    /// dis position predicates: (thread, position) → pred.
-    dtp: HashMap<(usize, usize), PredId>,
+    /// dis position predicates, `dtp[thread][position]`.
+    dtp: Vec<Vec<PredId>>,
 }
 
-impl<'a, 's> Encoder<'a, 's> {
-    fn new(mk: &'a MakeP<'s>, guess: &'a Guess, target: DatalogTarget) -> Self {
-        let mut prog = Program::new();
-        let n_vars = mk.sys.n_vars() as usize;
-        let tle = prog.predicate("tle", 2);
-        let tlt = prog.predicate("tlt", 2);
-        let tmax = prog.predicate("tmax", 3);
-        let gapjoin = prog.predicate("gapjoin", 3);
-        let gapstore = (0..n_vars)
-            .map(|x| prog.predicate(&format!("gapstore_{x}"), 2))
-            .collect();
-        let goal = prog.predicate("goal", 0);
-        let mut tc = HashMap::new();
-        for &a in &mk.timeline {
-            tc.insert(a, prog.constant(&format!("{a}")));
-        }
-        Encoder {
-            mk,
-            guess,
-            target,
-            prog,
-            n_vars,
-            tc,
-            tle,
-            tlt,
-            tmax,
-            gapjoin,
-            gapstore,
-            goal,
-            emp: HashMap::new(),
-            dmp: HashMap::new(),
-            etp: HashMap::new(),
-            dtp: HashMap::new(),
-        }
-    }
-
+impl Symbols {
     fn t(&self, a: ATime) -> Const {
         self.tc[&a]
-    }
-
-    fn emp_pred(&mut self, x: VarId, d: Val) -> PredId {
-        let n = self.n_vars;
-        *self
-            .emp
-            .entry((x, d))
-            .or_insert_with(|| self.prog.predicate(&format!("emp_{}_{}", x.0, d.0), n))
-    }
-
-    fn dmp_pred(&mut self, x: VarId, d: Val) -> PredId {
-        let n = self.n_vars;
-        *self
-            .dmp
-            .entry((x, d))
-            .or_insert_with(|| self.prog.predicate(&format!("dmp_{}_{}", x.0, d.0), n))
-    }
-
-    fn etp_pred(&mut self, loc: Loc, rv: &RegVal) -> PredId {
-        let n = self.n_vars;
-        if let Some(&p) = self.etp.get(&(loc, rv.clone())) {
-            return p;
-        }
-        let name = format!(
-            "etp_{}_{}",
-            loc.0,
-            rv.iter()
-                .map(|v| v.0.to_string())
-                .collect::<Vec<_>>()
-                .join("_")
-        );
-        let p = self.prog.predicate(&name, n);
-        self.etp.insert((loc, rv.clone()), p);
-        p
-    }
-
-    fn dtp_pred(&mut self, thread: usize, pos: usize) -> PredId {
-        let n = self.n_vars;
-        *self
-            .dtp
-            .entry((thread, pos))
-            .or_insert_with(|| self.prog.predicate(&format!("dtp{thread}_{pos}"), n))
     }
 
     /// View variable vector `base..base+n`.
@@ -556,144 +728,13 @@ impl<'a, 's> Encoder<'a, 's> {
             .collect()
     }
 
-    fn build(mut self) -> (Program, GroundAtom) {
-        self.emit_edb_facts();
-        self.emit_initial_facts();
-        self.emit_env_rules();
-        self.emit_dis_rules();
-        self.emit_goal_rules();
-        let goal = GroundAtom::new(self.goal, Vec::new());
-        (self.prog, goal)
-    }
-
-    /// tle/tlt/tmax/gapjoin over the timeline; gapstore per variable,
-    /// excluding gaps closed by the guess's integer-read CAS steps.
-    fn emit_edb_facts(&mut self) {
-        let timeline = self.mk.timeline.clone();
-        for &a in &timeline {
-            for &b in &timeline {
-                let (ca, cb) = (self.t(a), self.t(b));
-                if a <= b {
-                    self.prog.fact(self.tle, vec![ca, cb]).unwrap();
-                }
-                if a < b {
-                    self.prog.fact(self.tlt, vec![ca, cb]).unwrap();
-                }
-                let cmax = self.t(a.max(b));
-                self.prog.fact(self.tmax, vec![ca, cb, cmax]).unwrap();
-                let gj = ATime::Plus(a.floor().max(b.floor()));
-                let cgj = self.t(gj);
-                self.prog.fact(self.gapjoin, vec![ca, cb, cgj]).unwrap();
-            }
-        }
-        // Gaps closed by integer-read CAS guesses, per variable.
-        let mut closed: HashMap<VarId, BTreeSet<u32>> = HashMap::new();
-        for (ti, skel) in self.guess.dis.iter().enumerate() {
-            let cfa = self.mk.sys.dis[ti].cfa();
-            for step in &skel.steps {
-                if let Instr::Cas(x, ..) = &cfa.edges()[step.edge].instr {
-                    if step.cas_read == Some(CasRead::IntSlot) {
-                        let slot = step.slot.expect("cas step has a slot");
-                        closed.entry(*x).or_default().insert(slot - 1);
-                    }
-                }
-            }
-        }
-        for x in 0..self.n_vars {
-            let var = VarId(x as u32);
-            let closed_x = closed.get(&var).cloned().unwrap_or_default();
-            for &a in &timeline {
-                for g in a.floor()..=self.mk.budget.slots(var) {
-                    if closed_x.contains(&g) {
-                        continue;
-                    }
-                    let (ca, cg) = (self.t(a), self.t(ATime::Plus(g)));
-                    self.prog.fact(self.gapstore[x], vec![ca, cg]).unwrap();
-                }
-            }
-        }
-    }
-
-    fn emit_initial_facts(&mut self) {
-        let zero: Vec<Const> = (0..self.n_vars).map(|_| self.t(ATime::ZERO)).collect();
-        // Initial messages.
-        for x in 0..self.n_vars {
-            let p = self.dmp_pred(VarId(x as u32), Val::INIT);
-            self.prog.fact(p, zero.clone()).unwrap();
-        }
-        // Initial env thread.
-        let entry = self.mk.sys.env.cfa().entry();
-        let rv0 = RegVal::new(self.mk.sys.env.n_regs() as usize);
-        let p = self.etp_pred(entry, &rv0);
-        self.prog.fact(p, zero.clone()).unwrap();
-        // Initial dis threads at position 0.
-        for ti in 0..self.guess.dis.len() {
-            let p = self.dtp_pred(ti, 0);
-            self.prog.fact(p, zero.clone()).unwrap();
-        }
-    }
-
-    /// Env transition rules, grounded over register valuations.
-    fn emit_env_rules(&mut self) {
-        let sys = self.mk.sys;
-        let cfa = sys.env.cfa_arc();
-        let dom = sys.dom;
-        let n = self.n_vars as u32;
-        let rvs = enumerate_rvs(sys.env.n_regs() as usize, dom);
-        for rv in &rvs {
-            for edge in cfa.edges() {
-                let src = self.etp_pred(edge.from, rv);
-                match &edge.instr {
-                    Instr::Skip | Instr::AssertFalse => {
-                        let dst = self.etp_pred(edge.to, rv);
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Assume(e) => {
-                        if e.eval(rv, dom).as_bool() {
-                            let dst = self.etp_pred(edge.to, rv);
-                            let v = self.vvec(0);
-                            self.prog
-                                .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                                .unwrap();
-                        }
-                    }
-                    Instr::Assign(r, e) => {
-                        let rv2 = rv.with(*r, e.eval(rv, dom));
-                        let dst = self.etp_pred(edge.to, &rv2);
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Load(r, x) => {
-                        for d in dom.iter() {
-                            let rv2 = rv.with(*r, d);
-                            let dst = self.etp_pred(edge.to, &rv2);
-                            self.emit_load_rules(Atom::new(src, self.vvec(0)), dst, *x, d);
-                        }
-                    }
-                    Instr::Store(x, e) => {
-                        let d = e.eval(rv, dom);
-                        let dst = self.etp_pred(edge.to, rv);
-                        self.emit_env_store_rules(Atom::new(src, self.vvec(0)), dst, *x, d);
-                    }
-                    Instr::Cas(..) => unreachable!("env is CAS-free"),
-                }
-            }
-        }
-        let _ = n;
-    }
-
     /// Load rules shared by env and dis threads: one rule reading a
     /// `dmp` message (with timestamp check) and one reading an `emp`
     /// message (check-free, gap join).
     ///
     /// Variable layout: `0..n` = V̄ (thread view), `n..2n` = W̄ (message
     /// view), `2n..3n` = V̄' (joined view).
-    fn emit_load_rules(&mut self, src_atom: Atom, dst: PredId, x: VarId, d: Val) {
+    fn load_rules(&self, out: &mut impl Sink, src_atom: Atom, dst: PredId, x: VarId, d: Val) {
         let n = self.n_vars as u32;
         let v = self.vvec(0);
         let w = self.vvec(n);
@@ -702,31 +743,29 @@ impl<'a, 's> Encoder<'a, 's> {
 
         // From a dis/init message: tle(Vx, Wx) and pointwise tmax.
         {
-            let dmp = self.dmp_pred(x, d);
-            let mut body = vec![src_atom.clone(), Atom::new(dmp, w.clone())];
+            let mut body = vec![src_atom.clone(), Atom::new(self.dmp[&(x, d)], w.clone())];
             body.push(Atom::new(self.tle, vec![v[xi], w[xi]]));
             for i in 0..self.n_vars {
                 body.push(Atom::new(self.tmax, vec![v[i], w[i], vp[i]]));
             }
-            self.prog.rule(Atom::new(dst, vp.clone()), body).unwrap();
+            out.emit(Atom::new(dst, vp.clone()), body);
         }
         // From an env message: no check; gapjoin on x, tmax elsewhere.
         {
-            let emp = self.emp_pred(x, d);
-            let mut body = vec![src_atom, Atom::new(emp, w.clone())];
+            let mut body = vec![src_atom, Atom::new(self.emp[&(x, d)], w.clone())];
             body.push(Atom::new(self.gapjoin, vec![v[xi], w[xi], vp[xi]]));
             for i in 0..self.n_vars {
                 if i != xi {
                     body.push(Atom::new(self.tmax, vec![v[i], w[i], vp[i]]));
                 }
             }
-            self.prog.rule(Atom::new(dst, vp), body).unwrap();
+            out.emit(Atom::new(dst, vp), body);
         }
     }
 
     /// Env store: choose a gap via `gapstore_x(Vx, G)`; emit the message
     /// and the moved thread, both with `x ↦ G`.
-    fn emit_env_store_rules(&mut self, src_atom: Atom, dst: PredId, x: VarId, d: Val) {
+    fn env_store_rules(&self, out: &mut impl Sink, src_atom: Atom, dst: PredId, x: VarId, d: Val) {
         let n = self.n_vars as u32;
         let v = self.vvec(0);
         let g = Term::Var(n); // the chosen gap
@@ -734,97 +773,50 @@ impl<'a, 's> Encoder<'a, 's> {
         let mut head_view = v.clone();
         head_view[xi] = g;
         let body = vec![src_atom, Atom::new(self.gapstore[xi], vec![v[xi], g])];
-        let emp = self.emp_pred(x, d);
-        self.prog
-            .rule(Atom::new(emp, head_view.clone()), body.clone())
-            .unwrap();
-        self.prog.rule(Atom::new(dst, head_view), body).unwrap();
-    }
-
-    /// Dis rules along the guessed skeletons.
-    fn emit_dis_rules(&mut self) {
-        let sys = self.mk.sys;
-        let dom = sys.dom;
-        for (ti, skel) in self.guess.dis.iter().enumerate() {
-            let cfa = sys.dis[ti].cfa_arc();
-            let mut rv = RegVal::new(sys.dis[ti].n_regs() as usize);
-            for (pos, step) in skel.steps.iter().enumerate() {
-                let src = self.dtp_pred(ti, pos);
-                let dst = self.dtp_pred(ti, pos + 1);
-                let src_atom = Atom::new(src, self.vvec(0));
-                let edge = &cfa.edges()[step.edge];
-                match &edge.instr {
-                    Instr::Skip | Instr::AssertFalse => {
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Assume(e) => {
-                        debug_assert!(e.eval(&rv, dom).as_bool());
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Assign(r, e) => {
-                        rv.set(*r, e.eval(&rv, dom));
-                        let v = self.vvec(0);
-                        self.prog
-                            .rule(Atom::new(dst, v.clone()), vec![Atom::new(src, v)])
-                            .unwrap();
-                    }
-                    Instr::Load(r, x) => {
-                        let d = step.loaded.expect("load step carries a value");
-                        self.emit_load_rules(src_atom, dst, *x, d);
-                        rv.set(*r, d);
-                    }
-                    Instr::Store(x, e) => {
-                        let d = e.eval(&rv, dom);
-                        let slot = step.slot.expect("store step carries a slot");
-                        self.emit_dis_store_rules(src_atom, dst, *x, d, slot);
-                    }
-                    Instr::Cas(x, e1, e2) => {
-                        let d1 = e1.eval(&rv, dom);
-                        debug_assert_eq!(step.loaded, Some(d1));
-                        let d2 = e2.eval(&rv, dom);
-                        let slot = step.slot.expect("cas step carries a slot");
-                        let read = step.cas_read.expect("cas step carries a read kind");
-                        self.emit_dis_cas_rules(src_atom, dst, *x, d1, d2, slot, read);
-                    }
-                }
-            }
-        }
+        out.emit(
+            Atom::new(self.emp[&(x, d)], head_view.clone()),
+            body.clone(),
+        );
+        out.emit(Atom::new(dst, head_view), body);
     }
 
     /// Dis store at the guessed slot: requires `Vx < slot`; emits the
     /// message and the moved thread with `x ↦ slot`.
-    fn emit_dis_store_rules(&mut self, src_atom: Atom, dst: PredId, x: VarId, d: Val, slot: u32) {
+    #[allow(clippy::too_many_arguments)]
+    fn dis_store_rules(
+        &self,
+        out: &mut impl Sink,
+        src_atom: Atom,
+        dst: PredId,
+        x: VarId,
+        d: Val,
+        slot: u32,
+    ) {
         let v = self.vvec(0);
         let xi = x.index();
         let slot_c = Term::Const(self.t(ATime::Int(slot)));
         let mut head_view = v.clone();
         head_view[xi] = slot_c;
         let body = vec![src_atom, Atom::new(self.tlt, vec![v[xi], slot_c])];
-        let dmp = self.dmp_pred(x, d);
-        self.prog
-            .rule(Atom::new(dmp, head_view.clone()), body.clone())
-            .unwrap();
-        self.prog.rule(Atom::new(dst, head_view), body).unwrap();
+        out.emit(
+            Atom::new(self.dmp[&(x, d)], head_view.clone()),
+            body.clone(),
+        );
+        out.emit(Atom::new(dst, head_view), body);
     }
 
-    /// Dis CAS at guessed store slot `s₁`: reads slot `s₁-1` (integer
-    /// read) or an env message from a gap `≤ (s₁-1)⁺` (env read); the
-    /// stored message and the moved thread carry the joined view with
-    /// `x ↦ s₁`.
+    /// Dis CAS `d1 → d2` at guessed store slot `s₁`: reads slot `s₁-1`
+    /// (integer read) or an env message from a gap `≤ (s₁-1)⁺` (env
+    /// read); the stored message and the moved thread carry the joined
+    /// view with `x ↦ s₁`.
     #[allow(clippy::too_many_arguments)]
-    fn emit_dis_cas_rules(
-        &mut self,
+    fn dis_cas_rules(
+        &self,
+        out: &mut impl Sink,
         src_atom: Atom,
         dst: PredId,
         x: VarId,
-        d1: Val,
-        d2: Val,
+        (d1, d2): (Val, Val),
         slot: u32,
         read: CasRead,
     ) {
@@ -841,10 +833,9 @@ impl<'a, 's> Encoder<'a, 's> {
         match read {
             CasRead::IntSlot => {
                 // The loaded message sits exactly at slot-1.
-                let dmp = self.dmp_pred(x, d1);
                 let mut w_pinned = w.clone();
                 w_pinned[xi] = Term::Const(self.t(load_ts));
-                body.push(Atom::new(dmp, w_pinned));
+                body.push(Atom::new(self.dmp[&(x, d1)], w_pinned));
                 body.push(Atom::new(
                     self.tle,
                     vec![v[xi], Term::Const(self.t(load_ts))],
@@ -852,8 +843,7 @@ impl<'a, 's> Encoder<'a, 's> {
             }
             CasRead::EnvMessage => {
                 // A clone of the env message at the top of gap slot-1.
-                let emp = self.emp_pred(x, d1);
-                body.push(Atom::new(emp, w.clone()));
+                body.push(Atom::new(self.emp[&(x, d1)], w.clone()));
                 body.push(Atom::new(
                     self.tle,
                     vec![w[xi], Term::Const(self.t(gap_ts))],
@@ -871,39 +861,235 @@ impl<'a, 's> Encoder<'a, 's> {
         }
         let mut head_view = vp.clone();
         head_view[xi] = slot_c;
-        let dmp2 = self.dmp_pred(x, d2);
-        self.prog
-            .rule(Atom::new(dmp2, head_view.clone()), body.clone())
-            .unwrap();
-        self.prog.rule(Atom::new(dst, head_view), body).unwrap();
+        out.emit(
+            Atom::new(self.dmp[&(x, d2)], head_view.clone()),
+            body.clone(),
+        );
+        out.emit(Atom::new(dst, head_view), body);
+    }
+}
+
+/// Builds one [`Base`].
+struct BaseEncoder<'a, 's> {
+    mk: &'a MakeP<'s>,
+    target: DatalogTarget,
+    held_back: Vec<BTreeSet<u32>>,
+    prog: Program,
+    syms: Symbols,
+}
+
+impl<'a, 's> BaseEncoder<'a, 's> {
+    fn new(mk: &'a MakeP<'s>, target: DatalogTarget, held_back: Vec<BTreeSet<u32>>) -> Self {
+        let sys = mk.sys;
+        let mut prog = Program::new();
+        let n_vars = sys.n_vars() as usize;
+        let tle = prog.predicate("tle", 2);
+        let tlt = prog.predicate("tlt", 2);
+        let tmax = prog.predicate("tmax", 3);
+        let gapjoin = prog.predicate("gapjoin", 3);
+        let gapstore = (0..n_vars)
+            .map(|x| prog.predicate(&format!("gapstore_{x}"), 2))
+            .collect();
+        let goal = prog.predicate("goal", 0);
+        let mut tc = HashMap::new();
+        for &a in &mk.timeline {
+            tc.insert(a, prog.constant(&format!("{a}")));
+        }
+        let (mut emp, mut dmp) = (HashMap::new(), HashMap::new());
+        for x in 0..n_vars as u32 {
+            for d in sys.dom.iter() {
+                let p = prog.predicate(&format!("emp_{x}_{}", d.0), n_vars);
+                emp.insert((VarId(x), d), p);
+                let p = prog.predicate(&format!("dmp_{x}_{}", d.0), n_vars);
+                dmp.insert((VarId(x), d), p);
+            }
+        }
+        // A path through an acyclic CFA visits each location once, so a
+        // skeleton has fewer steps than the CFA has locations.
+        let dtp = sys
+            .dis
+            .iter()
+            .enumerate()
+            .map(|(ti, d)| {
+                (0..d.cfa().n_locs())
+                    .map(|pos| prog.predicate(&format!("dtp{ti}_{pos}"), n_vars))
+                    .collect()
+            })
+            .collect();
+        BaseEncoder {
+            mk,
+            target,
+            held_back,
+            prog,
+            syms: Symbols {
+                n_vars,
+                tc,
+                tle,
+                tlt,
+                tmax,
+                gapjoin,
+                gapstore,
+                goal,
+                emp,
+                dmp,
+                etp: HashMap::new(),
+                dtp,
+            },
+        }
     }
 
-    /// Goal rules per target.
+    fn etp_pred(&mut self, loc: Loc, rv: &RegVal) -> PredId {
+        if let Some(&p) = self.syms.etp.get(&(loc, rv.clone())) {
+            return p;
+        }
+        let name = format!(
+            "etp_{}_{}",
+            loc.0,
+            rv.iter()
+                .map(|v| v.0.to_string())
+                .collect::<Vec<_>>()
+                .join("_")
+        );
+        let p = self.prog.predicate(&name, self.syms.n_vars);
+        self.syms.etp.insert((loc, rv.clone()), p);
+        p
+    }
+
+    fn build(mut self) -> Base {
+        self.emit_edb_facts();
+        self.emit_initial_facts();
+        self.emit_env_rules();
+        self.emit_goal_rules();
+        Base {
+            goal: GroundAtom::new(self.syms.goal, Vec::new()),
+            prog: self.prog,
+            target: self.target,
+            syms: self.syms,
+            held_back: self.held_back,
+        }
+    }
+
+    /// tle/tlt/tmax/gapjoin over the timeline; gapstore per variable,
+    /// except the held-back gaps.
+    fn emit_edb_facts(&mut self) {
+        let syms = &self.syms;
+        let timeline = &self.mk.timeline;
+        for &a in timeline {
+            for &b in timeline {
+                let (ca, cb) = (syms.t(a), syms.t(b));
+                if a <= b {
+                    self.prog.fact(syms.tle, vec![ca, cb]).unwrap();
+                }
+                if a < b {
+                    self.prog.fact(syms.tlt, vec![ca, cb]).unwrap();
+                }
+                let cmax = syms.t(a.max(b));
+                self.prog.fact(syms.tmax, vec![ca, cb, cmax]).unwrap();
+                let cgj = syms.t(ATime::Plus(a.floor().max(b.floor())));
+                self.prog.fact(syms.gapjoin, vec![ca, cb, cgj]).unwrap();
+            }
+        }
+        for (x, held) in self.held_back.iter().enumerate() {
+            let var = VarId(x as u32);
+            for &a in timeline {
+                for g in a.floor()..=self.mk.budget.slots(var) {
+                    if held.contains(&g) {
+                        continue;
+                    }
+                    let (ca, cg) = (syms.t(a), syms.t(ATime::Plus(g)));
+                    self.prog.fact(syms.gapstore[x], vec![ca, cg]).unwrap();
+                }
+            }
+        }
+    }
+
+    fn emit_initial_facts(&mut self) {
+        let zero: Vec<Const> = (0..self.syms.n_vars)
+            .map(|_| self.syms.t(ATime::ZERO))
+            .collect();
+        // Initial messages.
+        for x in 0..self.syms.n_vars {
+            let p = self.syms.dmp[&(VarId(x as u32), Val::INIT)];
+            self.prog.fact(p, zero.clone()).unwrap();
+        }
+        // Initial env thread.
+        let entry = self.mk.sys.env.cfa().entry();
+        let rv0 = RegVal::new(self.mk.sys.env.n_regs() as usize);
+        let p = self.etp_pred(entry, &rv0);
+        self.prog.fact(p, zero).unwrap();
+    }
+
+    /// Env transition rules, grounded over register valuations.
+    fn emit_env_rules(&mut self) {
+        let sys = self.mk.sys;
+        let cfa = sys.env.cfa_arc();
+        let dom = sys.dom;
+        let rvs = enumerate_rvs(sys.env.n_regs() as usize, dom);
+        for rv in &rvs {
+            for edge in cfa.edges() {
+                let src = self.etp_pred(edge.from, rv);
+                let src_atom = Atom::new(src, self.syms.vvec(0));
+                let dst = match &edge.instr {
+                    Instr::Skip | Instr::AssertFalse => Some(self.etp_pred(edge.to, rv)),
+                    Instr::Assume(e) => e
+                        .eval(rv, dom)
+                        .as_bool()
+                        .then(|| self.etp_pred(edge.to, rv)),
+                    Instr::Assign(r, e) => {
+                        let rv2 = rv.with(*r, e.eval(rv, dom));
+                        Some(self.etp_pred(edge.to, &rv2))
+                    }
+                    Instr::Load(r, x) => {
+                        for d in dom.iter() {
+                            let rv2 = rv.with(*r, d);
+                            let dst = self.etp_pred(edge.to, &rv2);
+                            self.syms
+                                .load_rules(&mut self.prog, src_atom.clone(), dst, *x, d);
+                        }
+                        None
+                    }
+                    Instr::Store(x, e) => {
+                        let d = e.eval(rv, dom);
+                        let dst = self.etp_pred(edge.to, rv);
+                        self.syms
+                            .env_store_rules(&mut self.prog, src_atom.clone(), dst, *x, d);
+                        None
+                    }
+                    Instr::Cas(..) => unreachable!("env is CAS-free"),
+                };
+                // Local steps move the thread and keep its view.
+                if let Some(dst) = dst {
+                    let v = self.syms.vvec(0);
+                    self.prog
+                        .emit(Atom::new(dst, v.clone()), vec![Atom::new(src, v)]);
+                }
+            }
+        }
+    }
+
+    /// Goal rules per target (the `dis` part of
+    /// [`DatalogTarget::AssertViolation`] lives in the extensions).
     fn emit_goal_rules(&mut self) {
+        let goal = Atom::new(self.syms.goal, vec![]);
         match self.target {
             DatalogTarget::MessageGenerated(x, d) => {
-                let v = self.vvec(0);
-                let emp = self.emp_pred(x, d);
+                let v = self.syms.vvec(0);
+                let emp = self.syms.emp[&(x, d)];
                 self.prog
-                    .rule(
-                        Atom::new(self.goal, vec![]),
-                        vec![Atom::new(emp, v.clone())],
-                    )
-                    .unwrap();
-                let dmp = self.dmp_pred(x, d);
-                self.prog
-                    .rule(Atom::new(self.goal, vec![]), vec![Atom::new(dmp, v)])
-                    .unwrap();
+                    .emit(goal.clone(), vec![Atom::new(emp, v.clone())]);
+                let dmp = self.syms.dmp[&(x, d)];
+                self.prog.emit(goal, vec![Atom::new(dmp, v)]);
                 if d == Val::INIT {
                     // Initial messages already carry d_init.
-                    self.prog.fact(self.goal, vec![]).unwrap();
+                    self.prog.fact(self.syms.goal, vec![]).unwrap();
                 }
             }
             DatalogTarget::AssertViolation => {
                 // env asserts: any etp state at a location with an
                 // outgoing assert edge.
-                let sys = self.mk.sys;
-                let assert_locs: BTreeSet<Loc> = sys
+                let assert_locs: BTreeSet<Loc> = self
+                    .mk
+                    .sys
                     .env
                     .cfa()
                     .edges()
@@ -911,31 +1097,16 @@ impl<'a, 's> Encoder<'a, 's> {
                     .filter(|e| matches!(e.instr, Instr::AssertFalse))
                     .map(|e| e.from)
                     .collect();
-                let states: Vec<(Loc, RegVal)> = self
+                let states: Vec<PredId> = self
+                    .syms
                     .etp
-                    .keys()
-                    .filter(|(l, _)| assert_locs.contains(l))
-                    .cloned()
+                    .iter()
+                    .filter(|((l, _), _)| assert_locs.contains(l))
+                    .map(|(_, &p)| p)
                     .collect();
-                for (l, rv) in states {
-                    let p = self.etp_pred(l, &rv);
-                    let v = self.vvec(0);
-                    self.prog
-                        .rule(Atom::new(self.goal, vec![]), vec![Atom::new(p, v)])
-                        .unwrap();
-                }
-                // dis asserts: positions whose next edge is an assert.
-                for (ti, skel) in self.guess.dis.iter().enumerate() {
-                    let cfa = self.mk.sys.dis[ti].cfa_arc();
-                    for (pos, step) in skel.steps.iter().enumerate() {
-                        if matches!(cfa.edges()[step.edge].instr, Instr::AssertFalse) {
-                            let p = self.dtp_pred(ti, pos);
-                            let v = self.vvec(0);
-                            self.prog
-                                .rule(Atom::new(self.goal, vec![]), vec![Atom::new(p, v)])
-                                .unwrap();
-                        }
-                    }
+                for p in states {
+                    let v = self.syms.vvec(0);
+                    self.prog.emit(goal.clone(), vec![Atom::new(p, v)]);
                 }
             }
         }

@@ -17,7 +17,11 @@
 //! * where the program happens to fall into the ≤2-atom-body fragment,
 //!   the Lemma 4.2 cache→linear translation is run as an additional
 //!   cross-check (real `makeP` outputs exceed the fragment; random and
-//!   property-test programs exercise it).
+//!   property-test programs exercise it). The translation's evaluation is
+//!   exponential in the cache bound, so it runs under the caller's
+//!   budget ([`extract_with_budget`]); running out of it leaves the
+//!   certificate without the cross-check, never the verdict without its
+//!   witness.
 
 use crate::makep::MakeP;
 use parra_datalog::cache::{schedule_from_database, verify_schedule, CacheSchedule, ScheduleStep};
@@ -26,6 +30,7 @@ use parra_datalog::linear::LinearEvaluator;
 use parra_datalog::plan::Plan;
 use parra_datalog::translate::cache_to_linear;
 use parra_datalog::{GroundAtom, Program};
+use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::Recorder;
 use std::sync::Arc;
 
@@ -40,6 +45,8 @@ pub enum LinearCheck {
     /// The program is outside the ≤2-atom-body fragment Lemma 4.2
     /// translates (every real `makeP` output is).
     OutsideFragment,
+    /// The budget ran out while the translated program was evaluated.
+    Interrupted(InterruptReason),
 }
 
 /// A bounded-cache witness for one winning guess.
@@ -78,6 +85,20 @@ pub fn extract(
     threads: usize,
     plan: Option<Arc<Plan>>,
 ) -> Option<DatalogWitness> {
+    extract_with_budget(prog, goal, rec, threads, plan, &ResourceBudget::unlimited())
+}
+
+/// [`extract`] with the Lemma 4.2 cross-check governed by `gov`: an
+/// exhausted budget yields [`LinearCheck::Interrupted`] and leaves the
+/// rest of the witness intact.
+pub fn extract_with_budget(
+    prog: &Program,
+    goal: &GroundAtom,
+    rec: &Recorder,
+    threads: usize,
+    plan: Option<Arc<Plan>>,
+    gov: &ResourceBudget,
+) -> Option<DatalogWitness> {
     let ev = match plan {
         Some(p) => Evaluator::with_plan(prog, p),
         None => Evaluator::new(prog),
@@ -110,7 +131,7 @@ pub fn extract(
         occupancy.push(cache);
     }
     let certified = verify_schedule(prog, goal, &schedule, schedule.peak);
-    let linear_check = linear_cross_check(prog, goal, schedule.peak);
+    let linear_check = linear_cross_check(prog, goal, schedule.peak, gov);
     Some(DatalogWitness {
         schedule,
         peak_intensional: peak,
@@ -123,19 +144,25 @@ pub fn extract(
 
 /// Runs the Lemma 4.2 translation and the linear worklist evaluator when
 /// the program is inside the translatable fragment and small enough.
-fn linear_cross_check(prog: &Program, goal: &GroundAtom, k: usize) -> LinearCheck {
+fn linear_cross_check(
+    prog: &Program,
+    goal: &GroundAtom,
+    k: usize,
+    gov: &ResourceBudget,
+) -> LinearCheck {
     let in_fragment = prog.rules().iter().all(|r| r.body.len() <= 2);
     if !in_fragment || prog.size() > LINEAR_CHECK_MAX_SIZE || k > LINEAR_CHECK_MAX_K || k == 0 {
         return LinearCheck::OutsideFragment;
     }
     match cache_to_linear(prog, goal, k) {
-        Ok(t) => {
-            if LinearEvaluator::new(&t.program).query(&t.goal) {
-                LinearCheck::Agrees
-            } else {
-                LinearCheck::Disagrees
-            }
-        }
+        Ok(t) => match LinearEvaluator::new(&t.program)
+            .with_governor(gov.clone())
+            .try_query(&t.goal)
+        {
+            Ok(true) => LinearCheck::Agrees,
+            Ok(false) => LinearCheck::Disagrees,
+            Err(reason) => LinearCheck::Interrupted(reason),
+        },
         Err(_) => LinearCheck::OutsideFragment,
     }
 }
@@ -204,6 +231,19 @@ mod tests {
         // No predicate here matches the makeP EDB prefixes except `next`…
         // which does not, so the intensional peak tracks the full peak.
         assert!(w.peak_intensional <= w.schedule.peak);
+    }
+
+    #[test]
+    fn exhausted_budget_interrupts_only_the_cross_check() {
+        let (p, goal) = chain(5);
+        let gov = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let w = extract_with_budget(&p, &goal, &Recorder::disabled(), 1, None, &gov)
+            .expect("derivable");
+        assert!(w.certified);
+        assert_eq!(
+            w.linear_check,
+            LinearCheck::Interrupted(InterruptReason::Deadline)
+        );
     }
 
     #[test]

@@ -306,7 +306,21 @@ impl Program {
     ///
     /// See [`RuleError`].
     pub fn rule(&mut self, head: Atom, body: Vec<Atom>) -> Result<(), RuleError> {
-        for atom in std::iter::once(&head).chain(body.iter()) {
+        self.validate(&head, &body)?;
+        self.rules.push(Rule { head, body });
+        Ok(())
+    }
+
+    /// Checks `head :- body` against this program's predicate registry
+    /// (arity, safety) without adding it — for rule lists kept outside the
+    /// program, such as the per-guess extension of an incremental fleet
+    /// ([`Evaluator::extend`](crate::eval::Evaluator::extend)).
+    ///
+    /// # Errors
+    ///
+    /// See [`RuleError`].
+    pub fn validate(&self, head: &Atom, body: &[Atom]) -> Result<(), RuleError> {
+        for atom in std::iter::once(head).chain(body.iter()) {
             let info = self
                 .preds
                 .get(atom.pred.0 as usize)
@@ -326,7 +340,6 @@ impl Program {
                 return Err(RuleError::UnsafeVariable { var: v });
             }
         }
-        self.rules.push(Rule { head, body });
         Ok(())
     }
 

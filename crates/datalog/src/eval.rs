@@ -21,6 +21,12 @@
 //!   it) is byte-identical for every thread count
 //!   ([`Evaluator::with_threads`]).
 //!
+//! * **Incremental extension** — [`Evaluator::extend`] continues a
+//!   saturated database with extra facts and rules by semi-naive
+//!   evaluation seeded with the new facts only: the `makeP` fleet
+//!   saturates its guess-invariant base once and evaluates only each
+//!   guess's extension on a copy.
+//!
 //! The pre-rewrite engine survives as [`naive`](crate::naive) and pins
 //! this one differentially (the `eval-agree` fuzz oracle).
 
@@ -30,6 +36,7 @@ use crate::plan::{DeltaPlan, Plan, NO_SLOT};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Counter, Phase, PhaseTimer, Recorder};
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,6 +107,10 @@ pub struct Database {
     /// model (or the goal) was reached; the database is a sound but
     /// possibly incomplete under-approximation.
     interrupted: Option<InterruptReason>,
+    /// Whether evaluation ran to the least model (no early stop at a
+    /// goal, no interruption) — what [`Evaluator::extend`] requires of a
+    /// base.
+    fixpoint: bool,
 }
 
 impl Database {
@@ -119,6 +130,7 @@ impl Database {
                 })
                 .collect(),
             interrupted: None,
+            fixpoint: false,
         }
     }
 
@@ -201,6 +213,12 @@ impl Database {
         &self.store
     }
 
+    /// Whether evaluation reached the least model: it neither stopped at
+    /// its goal nor was interrupted.
+    pub fn is_fixpoint(&self) -> bool {
+        self.fixpoint
+    }
+
     fn insert(
         &mut self,
         pred: PredId,
@@ -275,6 +293,51 @@ struct Counters {
     index_builds: Counter,
     index_hits: Counter,
 }
+
+/// One rule list and its plan. A plain run has one layer; an extension
+/// run ([`Evaluator::extend`]) has two — the base program and the
+/// extension — and rule ids of the second are offset by the first's
+/// length.
+struct Layer<'a> {
+    rules: &'a [Rule],
+    plan: &'a Plan,
+    offset: usize,
+}
+
+/// Why [`Evaluator::extend`] refused an extension: continuing from the
+/// base database would not be complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExtendError {
+    /// The base database is not a least model (interrupted, or stopped
+    /// early at a goal), so base rules may still have work to do.
+    BaseNotSaturated,
+    /// Extension rule `rule` reads only predicates the base model already
+    /// has atoms of, so it could fire on base atoms alone — a firing
+    /// seeding from the extension's facts never sees.
+    ReadsOnlyBase {
+        /// Index of the offending rule in the extension.
+        rule: usize,
+    },
+    /// The extension plan does not continue the base plan's index slots.
+    PlanMismatch,
+}
+
+impl fmt::Display for ExtendError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExtendError::BaseNotSaturated => write!(f, "base database is not a least model"),
+            ExtendError::ReadsOnlyBase { rule } => write!(
+                f,
+                "extension rule {rule} reads no predicate that is empty in the base model"
+            ),
+            ExtendError::PlanMismatch => {
+                write!(f, "extension plan does not continue the base plan")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExtendError {}
 
 /// Per-worker scratch for one delta item's rule firings. Kept in a
 /// thread-local so the `makeP` fleet (thousands of delta items across
@@ -401,6 +464,100 @@ impl<'p> Evaluator<'p> {
     pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> Database {
         let _span = self.rec.span_debug("eval.run");
         let db = self.run_until_inner(stop_at);
+        self.record_db(&db);
+        db
+    }
+
+    /// Continues the saturated `base` database of this evaluator's program
+    /// with `facts` and `rules` — the least model of the program extended
+    /// by both (or, with `stop_at`, an early stop once it is derived).
+    ///
+    /// Evaluation is semi-naive seeded with `facts` only: `base` is a
+    /// fixpoint of the program's rules, so every firing still missing
+    /// uses an atom that is new. That covers base rules, and covers each
+    /// extension rule provided it reads some predicate with no atom in
+    /// `base` — checked here, not assumed. `plan` must come from
+    /// [`PlanCache::plan_extension`](crate::plan::PlanCache::plan_extension)
+    /// over this evaluator's plan and `rules`. The result records no
+    /// provenance; the thread count, governor and recorder apply as in
+    /// [`Evaluator::run_until`].
+    ///
+    /// # Errors
+    ///
+    /// [`ExtendError`] when continuing from `base` would be incomplete.
+    pub fn extend(
+        &self,
+        base: &Database,
+        facts: &[GroundAtom],
+        rules: &[Rule],
+        plan: &Plan,
+        stop_at: Option<&GroundAtom>,
+    ) -> Result<Database, ExtendError> {
+        if !base.fixpoint {
+            return Err(ExtendError::BaseNotSaturated);
+        }
+        for (ri, rule) in rules.iter().enumerate() {
+            let fresh = rule.body.iter().any(|a| {
+                base.per_pred
+                    .get(a.pred.0 as usize)
+                    .is_none_or(Vec::is_empty)
+            });
+            if !fresh {
+                return Err(ExtendError::ReadsOnlyBase { rule: ri });
+            }
+        }
+        let specs = plan.indices();
+        if specs.len() < base.indices.len()
+            || base
+                .indices
+                .iter()
+                .zip(specs)
+                .any(|(ix, spec)| ix.pred != spec.pred || ix.cols != spec.cols)
+        {
+            return Err(ExtendError::PlanMismatch);
+        }
+        let _span = self.rec.span_debug("eval.extend");
+        let counters = self.counters();
+        let mut db = base.clone();
+        db.fixpoint = false;
+        db.derivations = None;
+        db.indices
+            .extend(specs[base.indices.len()..].iter().map(|spec| ColumnIndex {
+                pred: spec.pred,
+                cols: spec.cols.clone(),
+                map: PrehashedMap::default(),
+                upto: 0,
+            }));
+        let offset = self.program.rules().len();
+        let mut delta = Vec::with_capacity(facts.len());
+        for f in facts {
+            // Provenance is off, so the rule index is never read.
+            if let Some(id) = db.insert(f.pred, &f.args, usize::MAX, Vec::new()) {
+                counters.fired.incr();
+                delta.push(id);
+            }
+        }
+        if stop_at.is_none_or(|g| !db.contains(g)) {
+            let layers = [
+                Layer {
+                    rules: self.program.rules(),
+                    plan: &self.plan,
+                    offset: 0,
+                },
+                Layer {
+                    rules,
+                    plan,
+                    offset,
+                },
+            ];
+            self.saturate(&mut db, delta, &layers, stop_at, &counters);
+        }
+        self.record_db(&db);
+        Ok(db)
+    }
+
+    /// Per-predicate atom counts and arena gauges of a finished database.
+    fn record_db(&self, db: &Database) {
         if self.rec.is_enabled() {
             // Per-predicate atom counts, keyed by predicate name so traces
             // across guesses aggregate.
@@ -417,16 +574,19 @@ impl<'p> Evaluator<'p> {
                 .gauge("arena_bytes")
                 .set(db.store.heap_bytes() as u64);
         }
-        db
     }
 
-    fn run_until_inner(&self, stop_at: Option<&GroundAtom>) -> Database {
-        let counters = Counters {
+    fn counters(&self) -> Counters {
+        Counters {
             fired: self.rec.counter("rules_fired"),
             joins: self.rec.counter("join_attempts"),
             index_builds: self.rec.counter("index_builds"),
             index_hits: self.rec.counter("index_hits"),
-        };
+        }
+    }
+
+    fn run_until_inner(&self, stop_at: Option<&GroundAtom>) -> Database {
+        let counters = self.counters();
         let n_preds = self.program.predicates().count();
         let mut db = Database::new(n_preds, self.provenance, &self.plan);
 
@@ -446,7 +606,25 @@ impl<'p> Evaluator<'p> {
                 return db;
             }
         }
+        let layers = [Layer {
+            rules: self.program.rules(),
+            plan: &self.plan,
+            offset: 0,
+        }];
+        self.saturate(&mut db, delta, &layers, stop_at, &counters);
+        db
+    }
 
+    /// Semi-naive rounds from `delta` until the least model of `layers`
+    /// (marking `db` a fixpoint), the goal, or the governor's stop.
+    fn saturate(
+        &self,
+        db: &mut Database,
+        mut delta: Vec<AtomId>,
+        layers: &[Layer],
+        stop_at: Option<&GroundAtom>,
+        counters: &Counters,
+    ) {
         // Round-based semi-naive: expand the delta (in parallel), merge the
         // candidate tuples sequentially in delta order. Indices catch up
         // with the previous round's insertions first, so the workers only
@@ -460,7 +638,7 @@ impl<'p> Evaluator<'p> {
                     .counter(&format!("eval_interrupted_{}", reason.as_str()))
                     .incr();
                 db.interrupted = Some(reason);
-                return db;
+                return;
             }
             let t0 = phases.is_enabled().then(Instant::now);
             counters.index_builds.add(db.catch_up_indices());
@@ -470,7 +648,7 @@ impl<'p> Evaluator<'p> {
             let t0 = phases.is_enabled().then(Instant::now);
             let batches: Vec<Vec<Derived>> =
                 parra_search::ordered_map(self.threads.min(delta.len()), &delta, |_w, _i, &d| {
-                    self.derive_from(&db, d, &counters)
+                    self.derive_from(db, d, layers, counters)
                 });
             let mut next_delta = Vec::new();
             let mut goal_hit = false;
@@ -504,12 +682,12 @@ impl<'p> Evaluator<'p> {
                 );
             }
             if goal_hit {
-                return db;
+                return;
             }
             round += 1;
             delta = next_delta;
         }
-        db
+        db.fixpoint = true;
     }
 
     /// Computes the full least model.
@@ -523,46 +701,70 @@ impl<'p> Evaluator<'p> {
     }
 
     /// All rule firings in which the delta atom `d` participates (at every
-    /// body position of its predicate). Read-only over `db`.
-    fn derive_from(&self, db: &Database, d: AtomId, counters: &Counters) -> Vec<Derived> {
+    /// body position of its predicate, in every layer). Read-only over
+    /// `db`.
+    fn derive_from(
+        &self,
+        db: &Database,
+        d: AtomId,
+        layers: &[Layer],
+        counters: &Counters,
+    ) -> Vec<Derived> {
         let pred = db.store.pred(d);
-        let uses = self.plan.uses(pred);
         let mut out = Vec::new();
-        if uses.is_empty() {
+        if layers.iter().all(|l| l.plan.uses(pred).is_empty()) {
             return out;
         }
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             // The trail fully unwinds between uses, so `subst` only ever
             // needs growing, never clearing.
-            if scratch.subst.len() < self.plan.max_vars() {
-                scratch.subst.resize(self.plan.max_vars(), None);
+            let max_vars = layers.iter().map(|l| l.plan.max_vars()).max().unwrap_or(0);
+            if scratch.subst.len() < max_vars {
+                scratch.subst.resize(max_vars, None);
             }
-            'uses: for &(ri, bi) in uses {
-                let (ri, bi) = (ri as usize, bi as usize);
-                let rule = &self.program.rules()[ri];
-                let plans = self.plan.rule(ri);
-                // A rule with an empty body relation cannot fire: skip it
-                // before any matching work.
-                for p in &plans.body_preds {
-                    if db.per_pred[p.0 as usize].is_empty() {
-                        continue 'uses;
-                    }
-                }
-                scratch.used.clear();
-                scratch.used.resize(rule.body.len(), 0);
-                counters.joins.incr();
-                if self.match_pattern(db, &rule.body[bi], d, scratch) {
-                    scratch.used[bi] = d.index();
-                    let body = self.plan.body_plan(plans.body_plan);
-                    let dp = &body.per_delta[bi];
-                    let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
-                    self.join_steps(db, rule, ri, dp, slots, 0, scratch, &mut out, counters);
-                }
-                unwind(scratch, 0);
+            for layer in layers {
+                self.derive_in(db, d, layer, scratch, &mut out, counters);
             }
         });
         out
+    }
+
+    /// [`Evaluator::derive_from`] over one layer.
+    fn derive_in(
+        &self,
+        db: &Database,
+        d: AtomId,
+        layer: &Layer,
+        scratch: &mut JoinScratch,
+        out: &mut Vec<Derived>,
+        counters: &Counters,
+    ) {
+        let plan = layer.plan;
+        'uses: for &(ri, bi) in plan.uses(db.store.pred(d)) {
+            let (ri, bi) = (ri as usize, bi as usize);
+            let rule = &layer.rules[ri];
+            let plans = plan.rule(ri);
+            // A rule with an empty body relation cannot fire: skip it
+            // before any matching work.
+            for p in &plans.body_preds {
+                if db.per_pred[p.0 as usize].is_empty() {
+                    continue 'uses;
+                }
+            }
+            scratch.used.clear();
+            scratch.used.resize(rule.body.len(), 0);
+            counters.joins.incr();
+            if self.match_pattern(db, &rule.body[bi], d, scratch) {
+                scratch.used[bi] = d.index();
+                let body = plan.body_plan(plans.body_plan);
+                let dp = &body.per_delta[bi];
+                let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
+                let ri = layer.offset + ri;
+                self.join_steps(db, rule, ri, dp, slots, 0, scratch, out, counters);
+            }
+            unwind(scratch, 0);
+        }
     }
 
     /// Matches `pattern` against the stored tuple `id`, extending the
@@ -961,6 +1163,54 @@ mod tests {
         for g in slow.atoms() {
             assert!(fast.contains(g), "missing {g:?}");
         }
+    }
+
+    /// `extend` continues a saturated base to the least model of the
+    /// extended program, and refuses a base that is not a least model or
+    /// an extension rule that could fire on base atoms alone.
+    #[test]
+    fn extend_reaches_the_extended_least_model() {
+        let (mut p, path, c) = tc_program();
+        let start = p.predicate("start", 1);
+        let reach = p.predicate("reach", 1);
+        let plan = Arc::new(Plan::new(&p));
+        let ev = Evaluator::with_plan(&p, Arc::clone(&plan));
+        let base = ev.run();
+        assert!(base.is_fixpoint());
+        let (x, y) = (Term::Var(0), Term::Var(1));
+        let rules = vec![Rule {
+            head: Atom::new(reach, vec![y]),
+            body: vec![Atom::new(start, vec![x]), Atom::new(path, vec![x, y])],
+        }];
+        let facts = vec![GroundAtom::new(start, vec![c[1]])];
+        let mut cache = crate::plan::PlanCache::new();
+        let ext_plan = cache.plan_extension(&plan, &rules);
+        let db = ev.extend(&base, &facts, &rules, &ext_plan, None).unwrap();
+        let mut full = p.clone();
+        full.fact(start, vec![c[1]]).unwrap();
+        full.rule(rules[0].head.clone(), rules[0].body.clone())
+            .unwrap();
+        let want: HashSet<GroundAtom> = Evaluator::new(&full).run().iter().collect();
+        let got: HashSet<GroundAtom> = db.iter().collect();
+        assert_eq!(got, want);
+        assert!(db.contains(&GroundAtom::new(reach, vec![c[3]])));
+        assert!(!db.contains(&GroundAtom::new(reach, vec![c[1]])));
+
+        let base_only = vec![Rule {
+            head: Atom::new(reach, vec![y]),
+            body: vec![Atom::new(path, vec![x, y])],
+        }];
+        let plan2 = cache.plan_extension(&plan, &base_only);
+        assert_eq!(
+            ev.extend(&base, &[], &base_only, &plan2, None).unwrap_err(),
+            ExtendError::ReadsOnlyBase { rule: 0 }
+        );
+        let early = ev.run_until(Some(&GroundAtom::new(path, vec![c[0], c[1]])));
+        assert_eq!(
+            ev.extend(&early, &facts, &rules, &ext_plan, None)
+                .unwrap_err(),
+            ExtendError::BaseNotSaturated
+        );
     }
 
     /// Index metrics are emitted when a recorder is attached.

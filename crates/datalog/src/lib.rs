@@ -45,7 +45,7 @@ pub mod translate;
 pub use arena::{AtomId, TupleStore};
 pub use ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Term};
 pub use cache::{cache_schedule, prove_with_cache, CacheSchedule};
-pub use eval::{Database, Evaluator};
+pub use eval::{Database, Evaluator, ExtendError};
 pub use linear::{is_linear, LinearEvaluator};
 pub use naive::NaiveEvaluator;
 pub use plan::PlanCache;

@@ -8,6 +8,8 @@
 //! combinatorics that make linear Datalog PSPACE rather than EXPTIME.
 
 use crate::ast::{GroundAtom, Program, Term};
+use crate::naive::GOV_CHECK_EVERY;
+use parra_limits::{InterruptReason, ResourceBudget};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Whether every rule is linear (body of at most one atom).
@@ -19,6 +21,7 @@ pub fn is_linear(program: &Program) -> bool {
 #[derive(Debug)]
 pub struct LinearEvaluator<'p> {
     program: &'p Program,
+    gov: ResourceBudget,
 }
 
 impl<'p> LinearEvaluator<'p> {
@@ -30,16 +33,54 @@ impl<'p> LinearEvaluator<'p> {
     /// [`Evaluator`](crate::eval::Evaluator) for general programs.
     pub fn new(program: &'p Program) -> LinearEvaluator<'p> {
         assert!(is_linear(program), "program is not linear");
-        LinearEvaluator { program }
+        LinearEvaluator {
+            program,
+            gov: ResourceBudget::unlimited(),
+        }
     }
 
-    /// `Prog ⊢ g` with early exit.
+    /// The same evaluator governed by `gov`, checked before the first pop
+    /// and then every [`GOV_CHECK_EVERY`] worklist pops. An exhausted
+    /// budget stops evaluation with a sound but possibly incomplete atom
+    /// set.
+    pub fn with_governor(mut self, gov: ResourceBudget) -> LinearEvaluator<'p> {
+        self.gov = gov;
+        self
+    }
+
+    /// `Prog ⊢ g` with early exit. Under an exhausted governor, `false`
+    /// means "not derived before the stop"; use
+    /// [`LinearEvaluator::try_query`] to tell the two apart.
     pub fn query(&self, goal: &GroundAtom) -> bool {
         self.run_until(Some(goal)).contains(goal)
     }
 
-    /// Derives all atoms (or stops early once `stop_at` appears).
+    /// `Prog ⊢ g` with early exit, or the reason the governor stopped
+    /// evaluation before `goal` was derived.
+    ///
+    /// # Errors
+    ///
+    /// The governor's [`InterruptReason`] when it stopped evaluation
+    /// before the goal was derived — "not derived" is then unknown.
+    pub fn try_query(&self, goal: &GroundAtom) -> Result<bool, InterruptReason> {
+        let (derived, interrupted) = self.run_governed(Some(goal));
+        match interrupted {
+            Some(reason) if !derived.contains(goal) => Err(reason),
+            _ => Ok(derived.contains(goal)),
+        }
+    }
+
+    /// Derives all atoms (or stops early once `stop_at` appears, or when
+    /// the governor stops evaluation).
     pub fn run_until(&self, stop_at: Option<&GroundAtom>) -> HashSet<GroundAtom> {
+        self.run_governed(stop_at).0
+    }
+
+    /// [`LinearEvaluator::run_until`] plus the governor's stop reason.
+    fn run_governed(
+        &self,
+        stop_at: Option<&GroundAtom>,
+    ) -> (HashSet<GroundAtom>, Option<InterruptReason>) {
         let mut derived: HashSet<GroundAtom> = HashSet::new();
         let mut queue: VecDeque<GroundAtom> = VecDeque::new();
 
@@ -60,10 +101,17 @@ impl<'p> LinearEvaluator<'p> {
             }
         }
 
+        let mut pops: u32 = 0;
         while let Some(atom) = queue.pop_front() {
+            if pops.is_multiple_of(GOV_CHECK_EVERY) {
+                if let Err(reason) = self.gov.check() {
+                    return (derived, Some(reason));
+                }
+            }
+            pops = pops.wrapping_add(1);
             if let Some(goal) = stop_at {
                 if *goal == atom {
-                    return derived;
+                    return (derived, None);
                 }
             }
             let Some(rules) = by_pred.get(&atom.pred.0) else {
@@ -117,7 +165,7 @@ impl<'p> LinearEvaluator<'p> {
                 }
             }
         }
-        derived
+        (derived, None)
     }
 }
 
@@ -180,6 +228,21 @@ mod tests {
             let gen = Evaluator::new(&p).query(&goal);
             assert_eq!(lin, gen, "n = {n}");
         }
+    }
+
+    #[test]
+    fn exhausted_deadline_interrupts_the_query() {
+        let (p, goal) = even_cycle(3);
+        let gov = ResourceBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let ev = LinearEvaluator::new(&p).with_governor(gov);
+        assert_eq!(ev.try_query(&goal), Err(InterruptReason::Deadline));
+        assert!(!ev.query(&goal));
+        // A generous budget decides exactly as the ungoverned evaluator.
+        let gov = ResourceBudget::unlimited().with_deadline(std::time::Duration::from_secs(3600));
+        let ev = LinearEvaluator::new(&p).with_governor(gov);
+        assert_eq!(ev.try_query(&goal), Ok(true));
+        let (p4, goal4) = even_cycle(4);
+        assert_eq!(LinearEvaluator::new(&p4).try_query(&goal4), Ok(false));
     }
 
     #[test]

@@ -193,6 +193,9 @@ pub struct Plan {
     /// program) have no uses.
     uses: Vec<Vec<(u32, u32)>>,
     max_vars: usize,
+    /// The statistics the rules were planned with; an extension plan
+    /// ([`PlanCache::plan_extension`]) is planned with its base's.
+    stats: Vec<PredStats>,
 }
 
 /// The bitmask of a sorted column set (all columns < 64).
@@ -229,7 +232,46 @@ impl Plan {
     /// Computes the plan for `program`, drawing memoized body plans from
     /// (and contributing new ones to) `pool`.
     fn new_in(program: &Program, pool: &mut BodyPool) -> Plan {
-        let stats = collect_stats(program);
+        Plan::build(
+            program.rules(),
+            collect_stats(program),
+            pool,
+            FxMap::default(),
+            Vec::new(),
+        )
+    }
+
+    /// Plans `rules` as an *extension* of `base`: the rules are indexed
+    /// from 0 in their own list, but index slots live in `base`'s slot
+    /// space — a probe `base` already indexes reuses its slot (and so the
+    /// index a saturated base database already holds), and new probes get
+    /// slots numbered after `base`'s. [`Plan::indices`] of the result is
+    /// `base`'s list followed by the new specs.
+    fn extension_in(base: &Plan, rules: &[Rule], pool: &mut BodyPool) -> Plan {
+        let slot_ids = base
+            .indices
+            .iter()
+            .enumerate()
+            .map(|(s, spec)| ((spec.pred, colmask(&spec.cols)), s as u32))
+            .collect();
+        Plan::build(
+            rules,
+            base.stats.clone(),
+            pool,
+            slot_ids,
+            base.indices.clone(),
+        )
+    }
+
+    /// The planner proper, over `rules` with fixed statistics, continuing
+    /// the slot table `slot_ids`/`indices`.
+    fn build(
+        rules: &[Rule],
+        stats: Vec<PredStats>,
+        pool: &mut BodyPool,
+        mut slot_ids: FxMap<(PredId, u64), u32>,
+        mut indices: Vec<IndexSpec>,
+    ) -> Plan {
         let mut body_plans: Vec<Arc<BodyPlan>> = Vec::new();
         // This plan's body-plan ids per pooled signature, and a
         // per-flat-step (predicate → slot) memo: rules sharing a body
@@ -238,8 +280,6 @@ impl Plan {
         // comparison. Both are plan-local — slot ids are.
         let mut local_ids: FxMap<u64, Vec<(usize, usize)>> = FxMap::default();
         let mut step_memos: Vec<Vec<(PredId, u32)>> = Vec::new();
-        let mut slot_ids: FxMap<(PredId, u64), u32> = FxMap::default();
-        let mut indices: Vec<IndexSpec> = Vec::new();
         let mut uses: Vec<Vec<(u32, u32)>> = Vec::new();
         let mut max_vars = 0usize;
         // Reusable planning scratch: `bound[v]` plus the list of set
@@ -248,8 +288,7 @@ impl Plan {
         let mut bound_list: Vec<u32> = Vec::new();
         let mut sig: Vec<u64> = Vec::new();
         let mut canon: Vec<u32> = Vec::new();
-        let rules = program
-            .rules()
+        let rules = rules
             .iter()
             .enumerate()
             .map(|(ri, rule)| {
@@ -370,6 +409,7 @@ impl Plan {
             indices,
             uses,
             max_vars,
+            stats,
         }
     }
 
@@ -427,6 +467,10 @@ impl Plan {
 /// statistics only tune join-order quality. The full shape is compared on
 /// every digest hit, so a reused plan is always exact, never
 /// probabilistic.
+///
+/// Extension plans ([`PlanCache::plan_extension`]) are cached the same
+/// way, keyed by the extension's rule shape *and* the identity of the
+/// base plan they continue.
 #[derive(Default)]
 pub struct PlanCache {
     entries: FxMap<u64, Vec<CacheEntry>>,
@@ -437,6 +481,10 @@ pub struct PlanCache {
 struct CacheEntry {
     shape: Vec<u64>,
     plan: Arc<Plan>,
+    /// The base plan an extension plan continues (`None` for whole
+    /// programs). Holding it keeps its address — mixed into the digest —
+    /// from being reused while the entry lives.
+    base: Option<Arc<Plan>>,
 }
 
 impl PlanCache {
@@ -458,37 +506,67 @@ impl PlanCache {
     /// The plan for `program`, computed on first sight of its rule shape
     /// and shared afterwards.
     pub fn plan(&mut self, program: &Program) -> Arc<Plan> {
-        let digest = rules_shape(program, &mut self.shape_buf);
+        let digest = rules_shape(program.rules(), &mut self.shape_buf);
+        self.lookup_or_plan(digest, None, |pool| Plan::new_in(program, pool))
+    }
+
+    /// The plan for `rules` evaluated as an extension of a program planned
+    /// as `base` (see [`Evaluator::extend`](crate::eval::Evaluator::extend)):
+    /// only `rules` is hashed, so the lookup costs the extension's size,
+    /// not the base's. `base` must come from this cache or outlive the
+    /// returned plan's use; slot ids continue `base`'s.
+    pub fn plan_extension(&mut self, base: &Arc<Plan>, rules: &[Rule]) -> Arc<Plan> {
+        let digest = rules_shape(rules, &mut self.shape_buf)
+            ^ (Arc::as_ptr(base) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.lookup_or_plan(digest, Some(base), |pool| {
+            Plan::extension_in(base, rules, pool)
+        })
+    }
+
+    /// Returns the entry matching `shape_buf` (and `base`) under `digest`,
+    /// planning and inserting it on a miss.
+    fn lookup_or_plan(
+        &mut self,
+        digest: u64,
+        base: Option<&Arc<Plan>>,
+        make: impl FnOnce(&mut BodyPool) -> Plan,
+    ) -> Arc<Plan> {
         if let Some(entries) = self.entries.get(&digest) {
             for e in entries {
-                if e.shape == self.shape_buf {
+                let same_base = match (&e.base, base) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    _ => false,
+                };
+                if same_base && e.shape == self.shape_buf {
                     return Arc::clone(&e.plan);
                 }
             }
         }
-        let plan = Arc::new(Plan::new_in(program, &mut self.pool));
+        let plan = Arc::new(make(&mut self.pool));
         self.entries.entry(digest).or_default().push(CacheEntry {
             shape: self.shape_buf.clone(),
             plan: Arc::clone(&plan),
+            base: base.cloned(),
         });
         plan
     }
 }
 
-/// Flattens a program's rule list to the words that determine plan
-/// validity — per non-fact rule: head and body atoms with predicate ids,
-/// arities, and exact variable ids, constants collapsed to a token; facts
-/// collapse to a marker (their plans are empty whatever their content).
-/// Two programs with equal shapes produce position-for-position valid
-/// plans for each other. Returns the shape's digest.
-fn rules_shape(program: &Program, shape: &mut Vec<u64>) -> u64 {
+/// Flattens a rule list to the words that determine plan validity — per
+/// non-fact rule: head and body atoms with predicate ids, arities, and
+/// exact variable ids, constants collapsed to a token; facts collapse to
+/// a marker (their plans are empty whatever their content). Two rule
+/// lists with equal shapes produce position-for-position valid plans for
+/// each other. Returns the shape's digest.
+fn rules_shape(rules: &[Rule], shape: &mut Vec<u64>) -> u64 {
     shape.clear();
     let mut h = FxWords::default();
     let mut word = |shape: &mut Vec<u64>, w: u64| {
         shape.push(w);
         h.mix(w);
     };
-    for rule in program.rules() {
+    for rule in rules {
         if rule.is_fact() {
             word(shape, 0xFAC7);
             continue;

@@ -18,7 +18,7 @@
 use crate::gen::GenConfig;
 use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
-use parra_datalog::{Evaluator, NaiveEvaluator};
+use parra_datalog::{Evaluator, NaiveEvaluator, PlanCache};
 use parra_program::parser::parse_system;
 use parra_program::pretty;
 use parra_program::system::ParamSystem;
@@ -30,6 +30,7 @@ use parra_simplified::cost::cost_of_graph;
 use parra_simplified::depgraph::DepGraph;
 use parra_simplified::reach::{ReachLimits, ReachOutcome, Reachability, SimpTarget};
 use parra_simplified::state::Budget;
+use std::sync::Arc;
 
 /// The result of one oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -477,11 +478,16 @@ impl Oracle for Monotonicity {
 /// substrate (tuple arena, join indices, join planner, parallel delta
 /// batches) — an index bug shows up here as a concrete missing or extra
 /// atom long before it skews a verdict.
+///
+/// The same reference also pins the engine's *incremental* fleet: the
+/// fleet's base (built over every guess, as the engine builds it),
+/// saturated once and continued with a checked guess's extension, must
+/// reach the very same least model.
 pub struct EvalAgree;
 
 /// Guesses checked per system (full-database comparison is quadratic in
 /// fleet size, so a prefix keeps the oracle's case rate useful).
-const EVAL_AGREE_MAX_GUESSES: usize = 4;
+pub const EVAL_AGREE_MAX_GUESSES: usize = 4;
 
 impl Oracle for EvalAgree {
     fn name(&self) -> &'static str {
@@ -523,25 +529,51 @@ impl Oracle for EvalAgree {
             Err(e) => return OracleOutcome::Skip(format!("guess enumeration failed: {e}")),
         };
         let target = DatalogTarget::MessageGenerated(goal_var, goal_val);
+        let base = mk.base(&guesses, target);
+        let mut plans = PlanCache::new();
+        let base_plan = plans.plan(base.program());
+        let base_eval = Evaluator::with_plan(base.program(), Arc::clone(&base_plan));
+        let base_db = base_eval.run();
         for (gi, guess) in guesses.iter().take(EVAL_AGREE_MAX_GUESSES).enumerate() {
             let (prog, goal) = mk.program(guess, target);
             // Full least models (no early exit), so the comparison covers
             // every derivation path, not just the goal cone.
             let fast = Evaluator::new(&prog).run();
             let slow = NaiveEvaluator::new(&prog).run();
-            let fast_set: std::collections::HashSet<_> = fast.iter().collect();
-            let slow_set: std::collections::HashSet<_> = slow.atoms().iter().cloned().collect();
-            if fast_set != slow_set {
-                let missing = slow_set.difference(&fast_set).next();
-                let extra = fast_set.difference(&slow_set).next();
-                return OracleOutcome::Fail(format!(
-                    "guess {gi}: indexed evaluator derived {} atoms, naive reference \
-                     {}; first missing: {}; first extra: {}",
-                    fast_set.len(),
-                    slow_set.len(),
-                    missing.map_or("none".into(), |a| prog.display_ground(a)),
-                    extra.map_or("none".into(), |a| prog.display_ground(a)),
-                ));
+            let ext = mk.extension(&base, guess);
+            let ext_plan = plans.plan_extension(&base_plan, ext.rules());
+            let incremental =
+                match base_eval.extend(&base_db, ext.facts(), ext.rules(), &ext_plan, None) {
+                    Ok(db) => db,
+                    Err(e) => return OracleOutcome::Fail(format!("guess {gi}: {e}")),
+                };
+            // Programs share predicate and constant names, not ids.
+            let names = |p: &parra_datalog::Program, db: &parra_datalog::Database| {
+                db.iter()
+                    .map(|a| p.display_ground(&a))
+                    .collect::<std::collections::HashSet<_>>()
+            };
+            let slow_set: std::collections::HashSet<_> = slow
+                .atoms()
+                .iter()
+                .map(|a| prog.display_ground(a))
+                .collect();
+            for (what, set) in [
+                ("indexed evaluator", names(&prog, &fast)),
+                ("base + extension", names(base.program(), &incremental)),
+            ] {
+                if set != slow_set {
+                    let missing = slow_set.difference(&set).next();
+                    let extra = set.difference(&slow_set).next();
+                    return OracleOutcome::Fail(format!(
+                        "guess {gi}: {what} derived {} atoms, naive reference {}; \
+                         first missing: {}; first extra: {}",
+                        set.len(),
+                        slow_set.len(),
+                        missing.map_or("none", String::as_str),
+                        extra.map_or("none", String::as_str),
+                    ));
+                }
             }
             if fast.contains(&goal) != slow.contains(&goal) {
                 return OracleOutcome::Fail(format!(

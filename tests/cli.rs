@@ -368,6 +368,55 @@ fn concretize_works_under_json_and_names_its_bound() {
 /// `--timeout 0` degrades to INTERRUPTED (exit 2) with the deadline
 /// reason in the notes and JSON; `--memory-budget` parses suffixes and
 /// rejects garbage.
+/// The Lemma 4.2 cross-check of an `Unsafe` Datalog verdict honours
+/// the run's deadline. Its translation of this program has 295 rules,
+/// whose linear evaluation takes half a minute; under `--timeout 1` the
+/// run must still answer promptly, keep the (sound) `Unsafe` verdict of
+/// the winning guess, and say the cross-check was cut short.
+#[test]
+fn lemma42_cross_check_honours_the_deadline() {
+    let path = std::env::temp_dir().join(format!("parra-cli-lemma42-{}.ra", std::process::id()));
+    std::fs::write(
+        &path,
+        "system {
+            dom 2;
+            vars v0, v1, goal;
+            env env {
+                regs r0, r1;
+                assume r1 == 1;
+                assume r1 == 1;
+                assume r0 == 1;
+            }
+            dis d0 {
+                regs r0, r1;
+                v0 := 1;
+                assume r0 == 0;
+                assert false;
+            }
+        }",
+    )
+    .unwrap();
+    let start = std::time::Instant::now();
+    let out = Command::new(BIN)
+        .args(["verify", "--engine", "datalog", "--timeout", "1"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let elapsed = start.elapsed();
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(5),
+        "took {elapsed:?}; stdout: {stdout}"
+    );
+    assert!(stdout.contains("UNSAFE"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("Lemma 4.2 cross-check interrupted (deadline)"),
+        "stdout: {stdout}"
+    );
+}
+
 #[test]
 fn timeout_zero_interrupts_with_exit_code_2() {
     let input = example("barrier.ra");

@@ -214,3 +214,43 @@ fn unprefixed_entries_replay_against_all_oracles() {
     assert!(failures.is_empty(), "{failures:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The hand-written `eval-agree-cas-gaps.ra` entry drives the incremental
+/// fleet's held-back-gap path inside the guesses `eval-agree` checks:
+/// those guesses re-add different sets of held-back `gapstore` facts, and
+/// at least one re-adds some.
+#[test]
+fn eval_agree_cas_entry_reopens_held_back_gaps() {
+    use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
+    use parra_fuzz::oracle::EVAL_AGREE_MAX_GUESSES;
+    use parra_simplified::state::Budget;
+    use std::collections::BTreeSet;
+
+    let text = std::fs::read_to_string("corpus/eval-agree-cas-gaps.ra").unwrap();
+    let g = parra_program::transform::assert_to_goal(&parse_system(&text).unwrap());
+    let mk = MakeP::new(
+        &g.system,
+        Budget::exact(&g.system).unwrap(),
+        MakePLimits::default(),
+    )
+    .unwrap();
+    let guesses = mk.guesses().unwrap();
+    let base = mk.base(
+        &guesses,
+        DatalogTarget::MessageGenerated(g.goal_var, g.goal_val),
+    );
+    let reopened: BTreeSet<Vec<String>> = guesses
+        .iter()
+        .take(EVAL_AGREE_MAX_GUESSES)
+        .map(|guess| {
+            mk.extension(&base, guess)
+                .facts()
+                .iter()
+                .map(|f| base.program().display_ground(f))
+                .filter(|f| f.starts_with("gapstore"))
+                .collect()
+        })
+        .collect();
+    assert!(reopened.len() >= 2, "checked guesses agree: {reopened:?}");
+    assert!(reopened.iter().any(|facts| !facts.is_empty()));
+}
