@@ -21,13 +21,13 @@
 //! and with no decisive verdict every engine runs to completion exactly
 //! as it would sequentially.
 
-use crate::makep::{DatalogTarget, Guess, MakeP};
+use crate::makep::{Base, DatalogTarget, Extension, Guess, MakeP};
 use crate::verify::{
     aggregate_verdicts, EngineId, RunReport, Stats, Verdict, VerificationResult, Verifier,
 };
 use crate::witness::{self, LinearCheck};
-use parra_datalog::eval::Evaluator;
-use parra_datalog::plan::PlanCache;
+use parra_datalog::eval::{Database, Evaluator, Layer};
+use parra_datalog::plan::{Plan, PlanCache};
 use parra_limits::{CancelToken, InterruptReason, ResourceBudget};
 use parra_obs::{Phase, PhaseTimer, Recorder};
 use parra_ra::explore::{ExploreOutcome, Explorer, Target};
@@ -336,16 +336,46 @@ pub struct SelectionOutcome {
 
 /// Aggregate outcome of the Datalog guess fleet.
 struct FleetOutcome {
+    /// The fleet's guess-invariant base program and its plan.
+    base: Base,
+    base_plan: Arc<Plan>,
     /// Max full-program rule count (base ⊕ extension) over the evaluated
     /// guesses.
     rules: usize,
     /// Max derived-atom count over the evaluated guess databases.
     atoms: usize,
-    /// Lowest-index guess whose query derived the goal.
-    winner: Option<usize>,
+    /// The lowest-index guess whose query derived the goal.
+    winner: Option<Winner>,
     /// Set when the governor stopped any worker or evaluation before
     /// every guess completed; "no winner" is then inconclusive.
     interrupted: Option<InterruptReason>,
+}
+
+/// A winning guess and the database that derived the goal — the witness
+/// is read off it.
+struct Winner {
+    guess: usize,
+    db: Database,
+    /// The guess's extension and its plan, which `db` continues the base
+    /// with; `None` when the base alone derived the goal.
+    ext: Option<(Extension, Arc<Plan>)>,
+}
+
+impl FleetOutcome {
+    /// The rule layers the winner's database was evaluated over.
+    fn layers<'a>(&'a self, winner: &'a Winner) -> Vec<Layer<'a>> {
+        let mut layers = vec![Layer {
+            rules: self.base.program().rules(),
+            plan: &self.base_plan,
+        }];
+        if let Some((ext, plan)) = &winner.ext {
+            layers.push(Layer {
+                rules: ext.rules(),
+                plan,
+            });
+        }
+        layers
+    }
 }
 
 impl Verifier {
@@ -450,11 +480,11 @@ impl Verifier {
         Ok((mk, guesses))
     }
 
-    /// Evaluates every guess's Datalog query with provenance *off*,
-    /// racing the fleet and stopping as soon as one derives the goal.
-    /// Returns the max program/database sizes seen and the lowest-index
-    /// winning guess (`None` means every query completed without the
-    /// goal: `Safe`).
+    /// Evaluates every guess's Datalog query, racing the fleet and
+    /// stopping as soon as one derives the goal. Returns the max
+    /// program/database sizes seen and the lowest-index winning guess with
+    /// its database (`None` means every query completed without the goal:
+    /// `Safe`).
     ///
     /// The fleet is incremental: the guess-invariant
     /// [`Base`](crate::makep::Base) is encoded and saturated once (with
@@ -491,38 +521,49 @@ impl Verifier {
         let base_db = evaluator(n_workers).run_until(Some(goal));
         let base_rules = base.program().rules().len();
         rec.counter("base_rules").add(base_rules as u64);
-        rec.counter("base_atoms").add(base_db.len() as u64);
+        let base_atoms = base_db.len();
+        rec.counter("base_atoms").add(base_atoms as u64);
         let ext_rules_encoded = rec.counter("ext_rules_encoded");
-        let mut out = FleetOutcome {
-            rules: 0,
-            atoms: base_db.len(),
-            winner: None,
-            interrupted: None,
-        };
+        let mut rules = 0;
+        let mut atoms = base_db.len();
+        let mut winner = None;
+        let mut interrupted = None;
         if base_db.contains(goal) {
             // Datalog is monotone: every guess's program contains the
             // base, so every guess derives the goal.
-            out.winner = (n_guesses > 0).then_some(0);
+            if n_guesses > 0 {
+                // The base alone decided: report the winner's full
+                // program size, as if it had been evaluated.
+                rules = base_rules + mk.extension(&base, &guesses[0]).len();
+                winner = Some(Winner {
+                    guess: 0,
+                    db: base_db,
+                    ext: None,
+                });
+            }
         } else if let Some(reason) = base_db.interrupted() {
-            out.interrupted = Some(reason);
+            interrupted = Some(reason);
         } else {
             // With a single guess there is no fleet to parallelize; hand
             // the thread budget to the evaluator's delta batches instead.
             let guess_eval = evaluator(if n_guesses <= 1 { n_workers } else { 1 });
             let found = AtomicBool::new(false);
             let next = AtomicUsize::new(0);
-            let interrupted: Mutex<Option<InterruptReason>> = Mutex::new(None);
-            // Per-guess records: (guess index, rules, atoms, derived goal).
-            let records: Vec<(usize, usize, usize, bool)> = std::thread::scope(|scope| {
+            let stopped: Mutex<Option<InterruptReason>> = Mutex::new(None);
+            // Per worker: (rules, atoms) of every evaluated guess, and the
+            // one it won with, if any — a worker stops at its first win.
+            type Records = Vec<(usize, usize)>;
+            let per_worker: Vec<(Records, Option<Winner>)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..n_workers)
                     .map(|_| {
-                        let (found, next, interrupted) = (&found, &next, &interrupted);
+                        let (found, next, stopped) = (&found, &next, &stopped);
                         let (base, base_db, base_plan) = (&base, &base_db, &base_plan);
                         let (guess_eval, ext_rules_encoded) = (&guess_eval, &ext_rules_encoded);
                         scope.spawn(move || {
                             let mut local = Vec::new();
+                            let mut won_with = None;
                             let stop = |reason: InterruptReason| {
-                                let mut slot = interrupted.lock().expect("interrupt slot poisoned");
+                                let mut slot = stopped.lock().expect("interrupt slot poisoned");
                                 slot.get_or_insert(reason);
                             };
                             while !found.load(Ordering::Relaxed) {
@@ -559,34 +600,41 @@ impl Verifier {
                                         break;
                                     }
                                 }
-                                local.push((i, base_rules + ext.len(), db.len(), won));
+                                local.push((base_rules + ext.len(), db.len()));
                                 if won {
                                     found.store(true, Ordering::Relaxed);
+                                    won_with = Some(Winner {
+                                        guess: i,
+                                        db,
+                                        ext: Some((ext, plan)),
+                                    });
                                     break;
                                 }
                             }
-                            local
+                            (local, won_with)
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("guess worker panicked"))
+                    .map(|h| h.join().expect("guess worker panicked"))
                     .collect()
             });
-            out.interrupted = interrupted.into_inner().expect("interrupt slot poisoned");
-            for &(i, rules, atoms, won) in &records {
-                out.rules = out.rules.max(rules);
-                out.atoms = out.atoms.max(atoms);
-                if won {
-                    out.winner = Some(out.winner.map_or(i, |w: usize| w.min(i)));
+            interrupted = stopped.into_inner().expect("interrupt slot poisoned");
+            for (records, won_with) in per_worker {
+                for (r, a) in records {
+                    rules = rules.max(r);
+                    atoms = atoms.max(a);
+                }
+                if let Some(w) = won_with {
+                    if winner
+                        .as_ref()
+                        .is_none_or(|best: &Winner| w.guess < best.guess)
+                    {
+                        winner = Some(w);
+                    }
                 }
             }
-        }
-        if out.winner == Some(0) && out.rules == 0 {
-            // The base alone decided: report the winner's full program
-            // size, as if it had been evaluated.
-            out.rules = base_rules + mk.extension(&base, &guesses[0]).len();
         }
         if rec.is_enabled() {
             // The base is guess-independent and evaluated
@@ -594,24 +642,31 @@ impl Verifier {
             // maxima, the extension work, and even the winning index when
             // several guesses win) depends on worker timing.
             let mut vol: Vec<(&str, u64)> = vec![
-                ("rules_max", out.rules as u64),
-                ("atoms_max", out.atoms as u64),
+                ("rules_max", rules as u64),
+                ("atoms_max", atoms as u64),
                 ("ext_rules_encoded", ext_rules_encoded.get()),
             ];
-            if let Some(w) = out.winner {
-                vol.push(("winner", w as u64));
+            if let Some(w) = &winner {
+                vol.push(("winner", w.guess as u64));
             }
             rec.event_with(
                 "fleet",
                 &[
                     ("n_guesses", n_guesses.into()),
                     ("base_rules", base_rules.into()),
-                    ("base_atoms", base_db.len().into()),
+                    ("base_atoms", base_atoms.into()),
                 ],
                 &vol,
             );
         }
-        out
+        FleetOutcome {
+            base,
+            base_plan,
+            rules,
+            atoms,
+            winner,
+            interrupted,
+        }
     }
 
     pub(crate) fn run_datalog(&self, rec: &Recorder, gov: &ResourceBudget) -> VerificationResult {
@@ -657,28 +712,20 @@ impl Verifier {
             }
             _ => Verdict::Safe,
         };
-        if let Some(wi) = fleet.winner {
+        if let Some(win) = &fleet.winner {
             verdict = Verdict::Unsafe;
-            // Certify the winning guess: re-run it with provenance on,
-            // read a bounded-cache schedule off its derivation (Lemma
-            // 4.6, intensional atoms only), replay that schedule under
-            // `⊢ₖ`, and cross-check through the Lemma 4.2 cache→linear
+            // Certify the winning guess: rebuild the goal's derivation
+            // from the winner's own database, read a bounded-cache
+            // schedule off it (Lemma 4.6, intensional atoms only), replay
+            // that schedule under `⊢ₖ` against the guess's full program,
+            // and cross-check through the Lemma 4.2 cache→linear
             // translation.
-            let (prog, goal) = mk.program(&guesses[wi], target);
-            let plan = plan_cache.lock().expect("plan cache poisoned").plan(&prog);
+            let (prog, goal) = mk.program(&guesses[win.guess], target);
             let phases = PhaseTimer::new(rec);
             let _replay = phases.start(Phase::WitnessReplay);
-            match witness::extract_with_budget(
-                &prog,
-                &goal,
-                rec,
-                self.options.threads,
-                Some(plan),
-                gov,
-            ) {
+            match witness::from_database(&prog, &goal, &win.db, &fleet.layers(win), gov) {
                 Some(w) => {
                     stats.cache_peak = w.peak_intensional;
-                    stats.datalog_atoms = stats.datalog_atoms.max(w.atoms);
                     let occupancy: Vec<u64> = w.occupancy.iter().map(|&c| c as u64).collect();
                     if !occupancy.is_empty() {
                         rec.record_series("cache_occupancy", occupancy.clone());

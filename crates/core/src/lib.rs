@@ -17,8 +17,9 @@
 //!   run skeletons, emit a Datalog program per guess (predicates `emp`,
 //!   `etp`, `dmp`, `dtpᵢ`), and evaluate the goal query with the
 //!   `parra-datalog` engine. An `Unsafe` verdict is certified through
-//!   the paper's full proof pipeline ([`witness`]): the winning guess is
-//!   re-evaluated with provenance, its Lemma 4.6 schedule is replayed
+//!   the paper's full proof pipeline ([`witness`]): the goal's
+//!   derivation is rebuilt from the winning guess's own database, its
+//!   Lemma 4.6 schedule is replayed
 //!   under the `⊢ₖ` Cache semantics (reporting the Lemma 4.4 peak), and
 //!   (inside the ≤2-atom-body fragment) cross-checked via the Lemma 4.2
 //!   cache→linear translation;

@@ -1,11 +1,11 @@
 //! Datalog witness extraction: turning a winning `makeP` guess into the
 //! paper's bounded-cache certificate.
 //!
-//! The guess fleet in [`verify`](crate::verify) evaluates every `makeP`
-//! query with provenance *off* — the fast path pays nothing for
-//! derivation tracking. Only when a guess derives the goal is its program
-//! re-evaluated here with provenance *on*, and the recorded derivation is
-//! turned into the Lemma 4.6 cache schedule:
+//! The guess fleet in [`verify`](crate::verify) keeps the database that
+//! derived the goal. Every atom in it carries a derivation hint, so the
+//! goal's cone is rebuilt from that database ([`from_database`]) — no
+//! evaluation runs a second time — and turned into the Lemma 4.6 cache
+//! schedule:
 //!
 //! * the **peak over intensional atoms** is the empirical Lemma 4.4
 //!   number (EDB facts — timeline orders, gap tables — are free in the
@@ -25,7 +25,7 @@
 
 use crate::makep::MakeP;
 use parra_datalog::cache::{schedule_from_database, verify_schedule, CacheSchedule, ScheduleStep};
-use parra_datalog::eval::Evaluator;
+use parra_datalog::eval::{Database, Evaluator, Layer};
 use parra_datalog::linear::LinearEvaluator;
 use parra_datalog::plan::Plan;
 use parra_datalog::translate::cache_to_linear;
@@ -64,7 +64,7 @@ pub struct DatalogWitness {
     pub certified: bool,
     /// The Lemma 4.2 translation cross-check.
     pub linear_check: LinearCheck,
-    /// Atoms derived by the provenance re-run.
+    /// Atoms in the database the witness was read off.
     pub atoms: usize,
 }
 
@@ -72,12 +72,12 @@ pub struct DatalogWitness {
 const LINEAR_CHECK_MAX_SIZE: usize = 400;
 const LINEAR_CHECK_MAX_K: usize = 6;
 
-/// Re-evaluates `prog` with provenance on and extracts the bounded-cache
-/// witness for `goal`. `threads` drives the evaluator's parallel delta
-/// batches; `plan` reuses the fleet's join plan (it must come from a
-/// `PlanCache` hit on this program's rule list). Returns `None` if the
-/// goal is not derivable (the caller claimed a win that does not replay —
-/// an engine bug surfaced upstream).
+/// Evaluates `prog` (once) and extracts the bounded-cache witness for
+/// `goal` from its database ([`from_database`]). `threads` drives the
+/// evaluator's parallel delta batches; `plan` reuses the fleet's join plan
+/// (it must come from a `PlanCache` hit on this program's rule list).
+/// Returns `None` if the goal is not derivable (the caller claimed a win
+/// that does not replay — an engine bug surfaced upstream).
 pub fn extract(
     prog: &Program,
     goal: &GroundAtom,
@@ -103,13 +103,26 @@ pub fn extract_with_budget(
         Some(p) => Evaluator::with_plan(prog, p),
         None => Evaluator::new(prog),
     };
-    let db = ev
-        .with_recorder(rec.clone())
-        .with_provenance(true)
-        .with_threads(threads)
-        .run_until(Some(goal));
-    let atoms = db.len();
-    let schedule = schedule_from_database(&db, goal)?;
+    let ev = ev.with_recorder(rec.clone()).with_threads(threads);
+    let db = ev.run_until(Some(goal));
+    from_database(prog, goal, &db, &[ev.layer()], gov)
+}
+
+/// Extracts the bounded-cache witness for `goal` from `db`, a database
+/// evaluated over `layers` (see
+/// [`Database::derivation`](parra_datalog::eval::Database::derivation))
+/// whose facts and rules are all `prog`'s. The schedule is read off the
+/// goal's rebuilt derivation cone and certified against `prog` itself;
+/// the Lemma 4.2 cross-check runs under `gov`. Returns `None` if `db`
+/// lacks the goal or a derivation in its cone cannot be rebuilt.
+pub fn from_database(
+    prog: &Program,
+    goal: &GroundAtom,
+    db: &Database,
+    layers: &[Layer],
+    gov: &ResourceBudget,
+) -> Option<DatalogWitness> {
+    let schedule = schedule_from_database(db, layers, goal)?;
     let edb = MakeP::edb_predicates(prog);
     let mut cache = 0usize;
     let mut peak = 0usize;
@@ -138,7 +151,7 @@ pub fn extract_with_budget(
         occupancy,
         certified,
         linear_check,
-        atoms,
+        atoms: db.len(),
     })
 }
 

@@ -135,6 +135,24 @@ impl Rule {
     pub fn is_linear(&self) -> bool {
         self.body.len() <= 1
     }
+
+    /// Whether `head :- body` is a ground instance of the rule: one
+    /// substitution maps the head and every body atom, position for
+    /// position, onto the given ground atoms.
+    pub fn is_instance(&self, head: &GroundAtom, body: &[GroundAtom]) -> bool {
+        let mut subst: HashMap<u32, Const> = HashMap::new();
+        body.len() == self.body.len()
+            && std::iter::once((&self.head, head))
+                .chain(self.body.iter().zip(body))
+                .all(|(pattern, g)| {
+                    pattern.pred == g.pred
+                        && pattern.terms.len() == g.args.len()
+                        && pattern.terms.iter().zip(&g.args).all(|(t, c)| match t {
+                            Term::Const(k) => k == c,
+                            Term::Var(v) => subst.entry(*v).or_insert(*c) == c,
+                        })
+                })
+    }
 }
 
 /// Why a rule is rejected by [`Program`] validation.

@@ -21,7 +21,7 @@
 //!   (atoms are dropped at their last use).
 
 use crate::ast::{GroundAtom, Program, Rule, Term};
-use crate::eval::{derivation_cone, Database, Evaluator};
+use crate::eval::{derivation_cone, Database, Evaluator, Layer};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// One step of a cache schedule.
@@ -52,31 +52,34 @@ pub struct CacheSchedule {
 ///
 /// Returns `None` if the goal is not derivable.
 pub fn cache_schedule(program: &Program, goal: &GroundAtom) -> Option<CacheSchedule> {
-    let db = Evaluator::new(program)
-        .with_provenance(true)
-        .run_until(Some(goal));
-    schedule_from_database(&db, goal)
+    let ev = Evaluator::new(program);
+    let db = ev.run_until(Some(goal));
+    schedule_from_database(&db, &[ev.layer()], goal)
 }
 
-/// As [`cache_schedule`], from a pre-computed database.
+/// As [`cache_schedule`], from a pre-computed database and the `layers`
+/// its evaluation ran (see [`Database::derivation`]).
 ///
 /// The schedule derives the goal's derivation cone depth-first (each atom's
 /// dependencies just before the atom itself) and drops every atom at its
 /// last use — the register-allocation view of the paper's dependency-graph
-/// strategy.
+/// strategy. Only the cone's derivations are rebuilt.
 ///
-/// Returns `None` if the goal was not derived or the database was computed
-/// without provenance (see
-/// [`Evaluator::with_provenance`](crate::eval::Evaluator::with_provenance)).
-pub fn schedule_from_database(db: &Database, goal: &GroundAtom) -> Option<CacheSchedule> {
-    let cone = derivation_cone(db, goal)?;
+/// Returns `None` if the goal was not derived or a derivation in its cone
+/// cannot be rebuilt (an engine bug).
+pub fn schedule_from_database(
+    db: &Database,
+    layers: &[Layer],
+    goal: &GroundAtom,
+) -> Option<CacheSchedule> {
+    let cone = derivation_cone(db, layers, goal)?;
     let goal_idx = db.index_of(goal)?;
+    let body = |i: usize| cone[&i].body.as_slice();
 
     // Remaining-use counts over the cone.
     let mut uses: HashMap<usize, usize> = HashMap::new();
-    for &i in &cone {
-        let (_, body) = db.derivation(i);
-        for &b in body {
+    for d in cone.values() {
+        for &b in &d.body {
             *uses.entry(b).or_insert(0) += 1;
         }
     }
@@ -103,8 +106,7 @@ pub fn schedule_from_database(db: &Database, goal: &GroundAtom) -> Option<CacheS
                 // Push in reverse so body atoms are *emitted* in body
                 // order: recursive dependencies are resolved first, and
                 // short-lived side atoms arrive just before their use.
-                let (_, body) = db.derivation(i);
-                for &b in body.iter().rev() {
+                for &b in body(i).iter().rev() {
                     stack.push(Frame::Visit(b));
                 }
             }
@@ -117,8 +119,7 @@ pub fn schedule_from_database(db: &Database, goal: &GroundAtom) -> Option<CacheS
                 occupancy.push(in_cache.len());
                 peak = peak.max(in_cache.len());
                 // Consume this derivation's body uses; drop exhausted atoms.
-                let (_, body) = db.derivation(i);
-                for &b in body.to_vec().iter() {
+                for &b in body(i) {
                     let u = uses.get_mut(&b).expect("counted above");
                     *u -= 1;
                     if *u == 0 && b != goal_idx && in_cache.remove(&b) {

@@ -11,10 +11,13 @@
 //!   a hash index keyed on the bound columns, built lazily per
 //!   (predicate, bound-column-set) and caught up incrementally from the
 //!   semi-naive deltas at the start of every round.
-//! * **Optional provenance** — derivation recording is a mode flag
-//!   ([`Evaluator::with_provenance`]); witness extraction
+//! * **Derivation hints** — every inserted atom records one 12-byte
+//!   origin: a fact, or the (rule, delta atom, delta body position) of
+//!   the firing that inserted it. [`Database::derivation`] rebuilds that
+//!   firing on demand by re-running the rule's delta plan over the atoms
+//!   with a smaller index; witness extraction
 //!   ([`cache::schedule_from_database`](crate::cache::schedule_from_database))
-//!   needs it, plain queries do not pay for it.
+//!   rebuilds only the goal's cone, and no evaluation runs twice.
 //! * **Parallel delta batches** — each round's delta is expanded by
 //!   `parra-search`'s [`ordered_map`] and merged sequentially in delta
 //!   order, so the resulting database (and every statistic derived from
@@ -35,7 +38,8 @@ use crate::ast::{Const, GroundAtom, PredId, Program, Rule, Term};
 use crate::plan::{DeltaPlan, Plan, NO_SLOT};
 use parra_limits::{InterruptReason, ResourceBudget};
 use parra_obs::{Counter, Phase, PhaseTimer, Recorder};
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -88,19 +92,70 @@ struct ColumnIndex {
     upto: usize,
 }
 
+/// `Origin::delta` of a fact: no firing inserted it.
+const NO_DELTA: u32 = u32::MAX;
+/// `Origin::rule` of a fact passed to [`Evaluator::extend`].
+const EXT_FACT: u32 = u32::MAX;
+
+/// How an atom entered the database — its derivation hint. A fact, or
+/// the firing that inserted it: the rule (id across layers), and the
+/// delta atom the firing was seeded with at its body position. The rest
+/// of the firing's body is rebuilt on demand ([`Database::derivation`]).
+#[derive(Debug, Clone, Copy)]
+struct Origin {
+    /// Rule id across layers; a program fact's own rule id, or
+    /// [`EXT_FACT`].
+    rule: u32,
+    /// The delta atom's index, or [`NO_DELTA`] for a fact.
+    delta: u32,
+    /// The delta atom's body position.
+    pos: u32,
+}
+
+impl Origin {
+    fn fact(rule: u32) -> Origin {
+        Origin {
+            rule,
+            delta: NO_DELTA,
+            pos: 0,
+        }
+    }
+}
+
+/// One rule list an evaluation runs and its join plan. A plain run has
+/// one layer ([`Evaluator::layer`]); an extended database
+/// ([`Evaluator::extend`]) has two — the program's and the extension's —
+/// and rule ids of a later layer continue an earlier one's.
+#[derive(Debug, Clone, Copy)]
+pub struct Layer<'a> {
+    /// The rules.
+    pub rules: &'a [Rule],
+    /// Their plan, as the evaluation used it.
+    pub plan: &'a Plan,
+}
+
+/// A rebuilt derivation of one database atom ([`Database::derivation`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Derivation {
+    /// The rule that derived the atom, by its id across the layers; for
+    /// a program fact its own rule; `None` for a fact given to
+    /// [`Evaluator::extend`].
+    pub rule: Option<usize>,
+    /// Database indices of the body atoms in body order, each smaller
+    /// than the derived atom's (empty for a fact).
+    pub body: Vec<usize>,
+}
+
 /// The set of derived ground atoms: an interned arena, per-predicate
-/// lists, lazily built join indices, and (optionally) one recorded
-/// derivation per atom.
+/// lists, lazily built join indices, and one derivation hint per atom.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     /// The tuple arena. [`AtomId`]s double as derivation-order indices.
     store: TupleStore,
     /// Tuples of each predicate in derivation order.
     per_pred: Vec<Vec<AtomId>>,
-    /// For each atom, the rule index and the database indices of the body
-    /// atoms used to derive it first. `None` when evaluation ran without
-    /// provenance.
-    derivations: Option<Vec<(usize, Vec<usize>)>>,
+    /// Per atom, how it was inserted.
+    origins: Vec<Origin>,
     /// Join indices in plan-slot order (see [`Plan::indices`]).
     indices: Vec<ColumnIndex>,
     /// Set when the resource governor stopped evaluation before the least
@@ -114,11 +169,11 @@ pub struct Database {
 }
 
 impl Database {
-    fn new(n_preds: usize, provenance: bool, plan: &Plan) -> Database {
+    fn new(n_preds: usize, plan: &Plan) -> Database {
         Database {
             store: TupleStore::new(),
             per_pred: vec![Vec::new(); n_preds],
-            derivations: provenance.then(Vec::new),
+            origins: Vec::new(),
             indices: plan
                 .indices()
                 .iter()
@@ -187,25 +242,79 @@ impl Database {
             .copied()
     }
 
-    /// Whether derivations were recorded (see
-    /// [`Evaluator::with_provenance`]).
-    pub fn has_provenance(&self) -> bool {
-        self.derivations.is_some()
-    }
-
-    /// The recorded derivation of the atom at `idx`: the rule index and
-    /// the database indices of the body atoms used.
+    /// Rebuilds the derivation of the atom at `idx` from its hint.
+    /// `layers` must be the rule lists and plans the evaluation that
+    /// built this database ran ([`Evaluator::layer`], plus the extension
+    /// for a database from [`Evaluator::extend`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if evaluation ran without provenance.
-    pub fn derivation(&self, idx: usize) -> (usize, &[usize]) {
-        let derivations = self
-            .derivations
-            .as_ref()
-            .expect("derivations requested from a provenance-free evaluation");
-        let (r, ref body) = derivations[idx];
-        (r, body)
+    /// The hinted rule's delta plan is re-run, seeded with the recorded
+    /// delta atom and with the head bound to atom `idx`, over candidates
+    /// with an index below `idx` only; the first firing found is
+    /// returned. One exists: the firing that inserted the atom read only
+    /// atoms present when its round began, and all of those precede it.
+    /// `None` means no such firing exists — an engine bug — or `idx` is
+    /// out of range.
+    pub fn derivation(&self, idx: usize, layers: &[Layer]) -> Option<Derivation> {
+        let origin = *self.origins.get(idx)?;
+        if origin.delta == NO_DELTA {
+            return Some(Derivation {
+                rule: (origin.rule != EXT_FACT).then_some(origin.rule as usize),
+                body: Vec::new(),
+            });
+        }
+        let mut ri = origin.rule as usize;
+        let mut layer = None;
+        for l in layers {
+            if ri < l.rules.len() {
+                layer = Some(l);
+                break;
+            }
+            ri -= l.rules.len();
+        }
+        let layer = layer?;
+        let rule = &layer.rules[ri];
+        let plans = layer.plan.rule(ri);
+        let bi = origin.pos as usize;
+        let body = layer.plan.body_plan(plans.body_plan);
+        let dp = &body.per_delta[bi];
+        let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
+        let counters = Counters::disabled();
+        let mut found = None;
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            if scratch.subst.len() < plans.n_vars {
+                scratch.subst.resize(plans.n_vars, None);
+            }
+            scratch.used.clear();
+            scratch.used.resize(rule.body.len(), 0);
+            let delta = AtomId(origin.delta);
+            // Binding the head first makes every firing found derive
+            // atom `idx`, and prunes the join to it.
+            if match_pattern(self, &rule.head, AtomId(idx as u32), scratch)
+                && match_pattern(self, &rule.body[bi], delta, scratch)
+            {
+                scratch.used[bi] = delta.index();
+                join_steps(
+                    self,
+                    rule,
+                    dp,
+                    slots,
+                    0,
+                    idx as u32,
+                    scratch,
+                    &counters,
+                    &mut |s: &JoinScratch| {
+                        found = Some(s.used.clone());
+                        true
+                    },
+                );
+            }
+            unwind(scratch, 0);
+        });
+        found.map(|body| Derivation {
+            rule: Some(origin.rule as usize),
+            body,
+        })
     }
 
     /// The underlying tuple arena.
@@ -219,21 +328,13 @@ impl Database {
         self.fixpoint
     }
 
-    fn insert(
-        &mut self,
-        pred: PredId,
-        args: &[Const],
-        rule: usize,
-        body: Vec<usize>,
-    ) -> Option<AtomId> {
+    fn insert(&mut self, pred: PredId, args: &[Const], origin: Origin) -> Option<AtomId> {
         let (id, fresh) = self.store.intern(pred, args);
         if !fresh {
             return None;
         }
         self.per_pred[pred.0 as usize].push(id);
-        if let Some(d) = self.derivations.as_mut() {
-            d.push((rule, body));
-        }
+        self.origins.push(origin);
         Some(id)
     }
 
@@ -276,13 +377,26 @@ impl Database {
     }
 }
 
-/// A head tuple produced by a worker, merged sequentially.
-struct Derived {
-    rule: usize,
-    pred: PredId,
+/// The head tuples one delta item produced, merged sequentially. Their
+/// arguments share one buffer, so a delta item allocates per batch, not
+/// per candidate.
+#[derive(Default)]
+struct Batch {
+    /// Per head: the firing's hint (recorded if the tuple is new), the
+    /// predicate, and where its arguments end in `args`.
+    heads: Vec<(Origin, PredId, usize)>,
     args: Vec<Const>,
-    /// Body atom indices in body order (empty when provenance is off).
-    body: Vec<usize>,
+}
+
+impl Batch {
+    /// The heads in production order, with their arguments.
+    fn iter(&self) -> impl Iterator<Item = (Origin, PredId, &[Const])> {
+        self.heads.iter().scan(0, |start, &(origin, pred, end)| {
+            let args = &self.args[*start..end];
+            *start = end;
+            Some((origin, pred, args))
+        })
+    }
 }
 
 /// The evaluator's hot-loop counters (near-no-ops when the recorder is
@@ -294,14 +408,21 @@ struct Counters {
     index_hits: Counter,
 }
 
-/// One rule list and its plan. A plain run has one layer; an extension
-/// run ([`Evaluator::extend`]) has two — the base program and the
-/// extension — and rule ids of the second are offset by the first's
-/// length.
-struct Layer<'a> {
-    rules: &'a [Rule],
-    plan: &'a Plan,
-    offset: usize,
+impl Counters {
+    fn of(rec: &Recorder) -> Counters {
+        Counters {
+            fired: rec.counter("rules_fired"),
+            joins: rec.counter("join_attempts"),
+            index_builds: rec.counter("index_builds"),
+            index_hits: rec.counter("index_hits"),
+        }
+    }
+
+    /// Counters that record nothing: rebuilding a derivation is not
+    /// evaluation work.
+    fn disabled() -> Counters {
+        Counters::of(&Recorder::disabled())
+    }
 }
 
 /// Why [`Evaluator::extend`] refused an extension: continuing from the
@@ -386,14 +507,13 @@ pub struct Evaluator<'p> {
     plan: Arc<Plan>,
     rec: Recorder,
     events: bool,
-    provenance: bool,
     threads: usize,
     gov: ResourceBudget,
 }
 
 impl<'p> Evaluator<'p> {
     /// Creates an evaluator for `program`. The join plan is computed here,
-    /// once; provenance is off and evaluation is sequential by default.
+    /// once; evaluation is sequential by default.
     pub fn new(program: &'p Program) -> Evaluator<'p> {
         Evaluator::with_plan(program, Arc::new(Plan::new(program)))
     }
@@ -411,7 +531,6 @@ impl<'p> Evaluator<'p> {
             plan,
             rec: Recorder::disabled(),
             events: false,
-            provenance: false,
             threads: 1,
             gov: ResourceBudget::unlimited(),
         }
@@ -435,13 +554,6 @@ impl<'p> Evaluator<'p> {
         self
     }
 
-    /// Turns derivation recording on or off (off by default). Witness and
-    /// cache-schedule extraction need it; queries run faster without.
-    pub fn with_provenance(mut self, on: bool) -> Evaluator<'p> {
-        self.provenance = on;
-        self
-    }
-
     /// Expands each semi-naive round's delta with `threads` workers. The
     /// database is identical for every value: workers only produce
     /// candidate tuples, and a sequential merge walking the delta in order
@@ -458,6 +570,16 @@ impl<'p> Evaluator<'p> {
     pub fn with_governor(mut self, gov: ResourceBudget) -> Evaluator<'p> {
         self.gov = gov;
         self
+    }
+
+    /// This evaluator's program rules and plan: the layer a database from
+    /// [`Evaluator::run_until`] rebuilds derivations against, and the
+    /// first layer of one from [`Evaluator::extend`].
+    pub fn layer(&self) -> Layer<'_> {
+        Layer {
+            rules: self.program.rules(),
+            plan: &self.plan,
+        }
     }
 
     /// Computes the least model, stopping early if `stop_at` is derived.
@@ -477,9 +599,9 @@ impl<'p> Evaluator<'p> {
     /// uses an atom that is new. That covers base rules, and covers each
     /// extension rule provided it reads some predicate with no atom in
     /// `base` — checked here, not assumed. `plan` must come from
-    /// [`PlanCache::plan_extension`](crate::plan::PlanCache::plan_extension)
-    /// over this evaluator's plan and `rules`. The result records no
-    /// provenance; the thread count, governor and recorder apply as in
+    /// over this evaluator's plan and `rules`. Derivations of the result
+    /// are rebuilt against [`Evaluator::layer`] followed by `rules` and
+    /// `plan`; the thread count, governor and recorder apply as in
     /// [`Evaluator::run_until`].
     ///
     /// # Errors
@@ -517,10 +639,9 @@ impl<'p> Evaluator<'p> {
             return Err(ExtendError::PlanMismatch);
         }
         let _span = self.rec.span_debug("eval.extend");
-        let counters = self.counters();
+        let counters = Counters::of(&self.rec);
         let mut db = base.clone();
         db.fixpoint = false;
-        db.derivations = None;
         db.indices
             .extend(specs[base.indices.len()..].iter().map(|spec| ColumnIndex {
                 pred: spec.pred,
@@ -528,28 +649,15 @@ impl<'p> Evaluator<'p> {
                 map: PrehashedMap::default(),
                 upto: 0,
             }));
-        let offset = self.program.rules().len();
         let mut delta = Vec::with_capacity(facts.len());
         for f in facts {
-            // Provenance is off, so the rule index is never read.
-            if let Some(id) = db.insert(f.pred, &f.args, usize::MAX, Vec::new()) {
+            if let Some(id) = db.insert(f.pred, &f.args, Origin::fact(EXT_FACT)) {
                 counters.fired.incr();
                 delta.push(id);
             }
         }
         if stop_at.is_none_or(|g| !db.contains(g)) {
-            let layers = [
-                Layer {
-                    rules: self.program.rules(),
-                    plan: &self.plan,
-                    offset: 0,
-                },
-                Layer {
-                    rules,
-                    plan,
-                    offset,
-                },
-            ];
+            let layers = [self.layer(), Layer { rules, plan }];
             self.saturate(&mut db, delta, &layers, stop_at, &counters);
         }
         self.record_db(&db);
@@ -576,26 +684,17 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    fn counters(&self) -> Counters {
-        Counters {
-            fired: self.rec.counter("rules_fired"),
-            joins: self.rec.counter("join_attempts"),
-            index_builds: self.rec.counter("index_builds"),
-            index_hits: self.rec.counter("index_hits"),
-        }
-    }
-
     fn run_until_inner(&self, stop_at: Option<&GroundAtom>) -> Database {
-        let counters = self.counters();
+        let counters = Counters::of(&self.rec);
         let n_preds = self.program.predicates().count();
-        let mut db = Database::new(n_preds, self.provenance, &self.plan);
+        let mut db = Database::new(n_preds, &self.plan);
 
         // Facts are the first delta.
         let mut delta: Vec<AtomId> = Vec::new();
         for (ri, rule) in self.program.rules().iter().enumerate() {
             if rule.is_fact() {
                 let g = rule.head.to_ground();
-                if let Some(id) = db.insert(g.pred, &g.args, ri, Vec::new()) {
+                if let Some(id) = db.insert(g.pred, &g.args, Origin::fact(ri as u32)) {
                     counters.fired.incr();
                     delta.push(id);
                 }
@@ -606,12 +705,7 @@ impl<'p> Evaluator<'p> {
                 return db;
             }
         }
-        let layers = [Layer {
-            rules: self.program.rules(),
-            plan: &self.plan,
-            offset: 0,
-        }];
-        self.saturate(&mut db, delta, &layers, stop_at, &counters);
+        self.saturate(&mut db, delta, &[self.layer()], stop_at, &counters);
         db
     }
 
@@ -646,18 +740,17 @@ impl<'p> Evaluator<'p> {
                 phases.add_us(Phase::IndexBuild, t0.elapsed().as_micros() as u64);
             }
             let t0 = phases.is_enabled().then(Instant::now);
-            let batches: Vec<Vec<Derived>> =
+            let batches: Vec<Batch> =
                 parra_search::ordered_map(self.threads.min(delta.len()), &delta, |_w, _i, &d| {
                     self.derive_from(db, d, layers, counters)
                 });
             let mut next_delta = Vec::new();
             let mut goal_hit = false;
-            for derived in batches.into_iter().flatten() {
+            for (origin, pred, args) in batches.iter().flat_map(Batch::iter) {
                 let hit = stop_at
-                    .map(|g| g.pred == derived.pred && g.args[..] == derived.args[..])
+                    .map(|g| g.pred == pred && g.args[..] == *args)
                     .unwrap_or(false);
-                if let Some(id) = db.insert(derived.pred, &derived.args, derived.rule, derived.body)
-                {
+                if let Some(id) = db.insert(pred, args, origin) {
                     counters.fired.incr();
                     next_delta.push(id);
                     if hit {
@@ -709,9 +802,9 @@ impl<'p> Evaluator<'p> {
         d: AtomId,
         layers: &[Layer],
         counters: &Counters,
-    ) -> Vec<Derived> {
+    ) -> Batch {
         let pred = db.store.pred(d);
-        let mut out = Vec::new();
+        let mut out = Batch::default();
         if layers.iter().all(|l| l.plan.uses(pred).is_empty()) {
             return out;
         }
@@ -723,162 +816,183 @@ impl<'p> Evaluator<'p> {
             if scratch.subst.len() < max_vars {
                 scratch.subst.resize(max_vars, None);
             }
+            let mut offset = 0;
             for layer in layers {
-                self.derive_in(db, d, layer, scratch, &mut out, counters);
+                derive_in(db, d, layer, offset, scratch, &mut out, counters);
+                offset += layer.rules.len();
             }
         });
         out
     }
+}
 
-    /// [`Evaluator::derive_from`] over one layer.
-    fn derive_in(
-        &self,
-        db: &Database,
-        d: AtomId,
-        layer: &Layer,
-        scratch: &mut JoinScratch,
-        out: &mut Vec<Derived>,
-        counters: &Counters,
-    ) {
-        let plan = layer.plan;
-        'uses: for &(ri, bi) in plan.uses(db.store.pred(d)) {
-            let (ri, bi) = (ri as usize, bi as usize);
-            let rule = &layer.rules[ri];
-            let plans = plan.rule(ri);
-            // A rule with an empty body relation cannot fire: skip it
-            // before any matching work.
-            for p in &plans.body_preds {
-                if db.per_pred[p.0 as usize].is_empty() {
-                    continue 'uses;
-                }
+/// [`Evaluator::derive_from`] over one layer whose rule ids start at
+/// `offset`.
+fn derive_in(
+    db: &Database,
+    d: AtomId,
+    layer: &Layer,
+    offset: usize,
+    scratch: &mut JoinScratch,
+    out: &mut Batch,
+    counters: &Counters,
+) {
+    let plan = layer.plan;
+    'uses: for &(ri, bi) in plan.uses(db.store.pred(d)) {
+        let rule = &layer.rules[ri as usize];
+        let plans = plan.rule(ri as usize);
+        // A rule with an empty body relation cannot fire: skip it
+        // before any matching work.
+        for p in &plans.body_preds {
+            if db.per_pred[p.0 as usize].is_empty() {
+                continue 'uses;
             }
-            scratch.used.clear();
-            scratch.used.resize(rule.body.len(), 0);
-            counters.joins.incr();
-            if self.match_pattern(db, &rule.body[bi], d, scratch) {
-                scratch.used[bi] = d.index();
-                let body = plan.body_plan(plans.body_plan);
-                let dp = &body.per_delta[bi];
-                let slots = &plans.slots[body.slot_offset(bi)..][..dp.steps.len()];
-                let ri = layer.offset + ri;
-                self.join_steps(db, rule, ri, dp, slots, 0, scratch, out, counters);
-            }
-            unwind(scratch, 0);
         }
+        scratch.used.clear();
+        scratch.used.resize(rule.body.len(), 0);
+        counters.joins.incr();
+        if match_pattern(db, &rule.body[bi as usize], d, scratch) {
+            scratch.used[bi as usize] = d.index();
+            let body = plan.body_plan(plans.body_plan);
+            let dp = &body.per_delta[bi as usize];
+            let slots = &plans.slots[body.slot_offset(bi as usize)..][..dp.steps.len()];
+            let origin = Origin {
+                rule: (offset + ri as usize) as u32,
+                delta: d.0,
+                pos: bi,
+            };
+            join_steps(
+                db,
+                rule,
+                dp,
+                slots,
+                0,
+                u32::MAX,
+                scratch,
+                counters,
+                &mut |s: &JoinScratch| {
+                    out.args.extend_from_slice(&s.buf);
+                    out.heads.push((origin, rule.head.pred, out.args.len()));
+                    false
+                },
+            );
+        }
+        unwind(scratch, 0);
     }
+}
 
-    /// Matches `pattern` against the stored tuple `id`, extending the
-    /// substitution (bindings land on the trail).
-    fn match_pattern(
-        &self,
-        db: &Database,
-        pattern: &crate::ast::Atom,
-        id: AtomId,
-        scratch: &mut JoinScratch,
-    ) -> bool {
-        if db.store.pred(id) != pattern.pred {
+/// Matches `pattern` against the stored tuple `id`, extending the
+/// substitution (bindings land on the trail).
+fn match_pattern(
+    db: &Database,
+    pattern: &crate::ast::Atom,
+    id: AtomId,
+    scratch: &mut JoinScratch,
+) -> bool {
+    if db.store.pred(id) != pattern.pred {
+        return false;
+    }
+    let args = db.store.args(id);
+    let mark = scratch.trail.len();
+    for (t, c) in pattern.terms.iter().zip(args) {
+        let ok = match t {
+            Term::Const(k) => k == c,
+            Term::Var(v) => match scratch.subst[*v as usize] {
+                Some(bound) => bound == *c,
+                None => {
+                    scratch.subst[*v as usize] = Some(*c);
+                    scratch.trail.push(*v);
+                    true
+                }
+            },
+        };
+        if !ok {
+            unwind(scratch, mark);
             return false;
         }
-        let args = db.store.args(id);
-        let mark = scratch.trail.len();
-        for (t, c) in pattern.terms.iter().zip(args) {
-            let ok = match t {
-                Term::Const(k) => k == c,
-                Term::Var(v) => match scratch.subst[*v as usize] {
-                    Some(bound) => bound == *c,
-                    None => {
-                        scratch.subst[*v as usize] = Some(*c);
-                        scratch.trail.push(*v);
-                        true
-                    }
-                },
-            };
-            if !ok {
-                unwind(scratch, mark);
-                return false;
-            }
-        }
-        true
     }
+    true
+}
 
-    /// Solves plan steps `si..`, emitting a head tuple per full match.
-    #[allow(clippy::too_many_arguments)]
-    fn join_steps(
-        &self,
-        db: &Database,
-        rule: &Rule,
-        ri: usize,
-        dp: &DeltaPlan,
-        slots: &[u32],
-        si: usize,
-        scratch: &mut JoinScratch,
-        out: &mut Vec<Derived>,
-        counters: &Counters,
-    ) {
-        if si == dp.steps.len() {
-            scratch.buf.clear();
-            for t in &rule.head.terms {
-                scratch.buf.push(match t {
-                    Term::Const(c) => *c,
-                    Term::Var(v) => scratch.subst[*v as usize].expect("safe rule: head var bound"),
-                });
-            }
-            out.push(Derived {
-                rule: ri,
-                pred: rule.head.pred,
-                args: scratch.buf.clone(),
-                body: if self.provenance {
-                    scratch.used.clone()
-                } else {
-                    Vec::new()
-                },
+/// Solves plan steps `si..` over atoms with an index below `below`, and
+/// hands each full match to `emit` with the head tuple in `scratch.buf`
+/// and the body atoms in `scratch.used`. Returns `true` as soon as
+/// `emit` does (stop).
+#[allow(clippy::too_many_arguments)]
+fn join_steps<F: FnMut(&JoinScratch) -> bool>(
+    db: &Database,
+    rule: &Rule,
+    dp: &DeltaPlan,
+    slots: &[u32],
+    si: usize,
+    below: u32,
+    scratch: &mut JoinScratch,
+    counters: &Counters,
+    emit: &mut F,
+) -> bool {
+    if si == dp.steps.len() {
+        scratch.buf.clear();
+        for t in &rule.head.terms {
+            scratch.buf.push(match t {
+                Term::Const(c) => *c,
+                Term::Var(v) => scratch.subst[*v as usize].expect("safe rule: head var bound"),
             });
-            return;
         }
-        let step = &dp.steps[si];
-        let pattern = &rule.body[step.pos];
-        if step.fully_bound {
-            // Membership test on the arena.
-            scratch.buf.clear();
-            for t in &pattern.terms {
-                scratch.buf.push(match t {
-                    Term::Const(c) => *c,
-                    Term::Var(v) => scratch.subst[*v as usize].expect("planner: bound"),
-                });
-            }
-            counters.joins.incr();
-            if let Some(id) = db.store.lookup(pattern.pred, &scratch.buf) {
-                scratch.used[step.pos] = id.index();
-                self.join_steps(db, rule, ri, dp, slots, si + 1, scratch, out, counters);
-            }
-            return;
+        return emit(scratch);
+    }
+    let step = &dp.steps[si];
+    let pattern = &rule.body[step.pos];
+    if step.fully_bound {
+        // Membership test on the arena.
+        scratch.buf.clear();
+        for t in &pattern.terms {
+            scratch.buf.push(match t {
+                Term::Const(c) => *c,
+                Term::Var(v) => scratch.subst[*v as usize].expect("planner: bound"),
+            });
         }
-        // Candidate enumeration: an index probe on the bound columns when
-        // possible, otherwise the full per-predicate list.
-        let slot = slots[si];
-        let candidates: &[AtomId] = if slot != NO_SLOT {
-            scratch.buf.clear();
-            for &c in &step.cols {
-                scratch.buf.push(match &pattern.terms[c as usize] {
-                    Term::Const(k) => *k,
-                    Term::Var(v) => scratch.subst[*v as usize].expect("planner: bound col"),
-                });
-            }
-            counters.index_hits.incr();
-            db.probe(slot, hash_key(&scratch.buf))
-        } else {
-            &db.per_pred[pattern.pred.0 as usize]
-        };
-        for &id in candidates {
-            counters.joins.incr();
-            let mark = scratch.trail.len();
-            if self.match_pattern(db, pattern, id, scratch) {
+        counters.joins.incr();
+        if let Some(id) = db.store.lookup(pattern.pred, &scratch.buf) {
+            if id.0 < below {
                 scratch.used[step.pos] = id.index();
-                self.join_steps(db, rule, ri, dp, slots, si + 1, scratch, out, counters);
-                unwind(scratch, mark);
+                return join_steps(db, rule, dp, slots, si + 1, below, scratch, counters, emit);
+            }
+        }
+        return false;
+    }
+    // Candidate enumeration: an index probe on the bound columns when
+    // possible, otherwise the full per-predicate list. Both are in
+    // insertion order, so the first candidate at or past `below` ends it.
+    let slot = slots[si];
+    let candidates: &[AtomId] = if slot != NO_SLOT {
+        scratch.buf.clear();
+        for &c in &step.cols {
+            scratch.buf.push(match &pattern.terms[c as usize] {
+                Term::Const(k) => *k,
+                Term::Var(v) => scratch.subst[*v as usize].expect("planner: bound col"),
+            });
+        }
+        counters.index_hits.incr();
+        db.probe(slot, hash_key(&scratch.buf))
+    } else {
+        &db.per_pred[pattern.pred.0 as usize]
+    };
+    for &id in candidates {
+        if id.0 >= below {
+            break;
+        }
+        counters.joins.incr();
+        let mark = scratch.trail.len();
+        if match_pattern(db, pattern, id, scratch) {
+            scratch.used[step.pos] = id.index();
+            let stop = join_steps(db, rule, dp, slots, si + 1, below, scratch, counters, emit);
+            unwind(scratch, mark);
+            if stop {
+                return true;
             }
         }
     }
+    false
 }
 
 /// Pops trail entries down to `mark`, unbinding their variables.
@@ -889,20 +1003,23 @@ fn unwind(scratch: &mut JoinScratch, mark: usize) {
     }
 }
 
-/// The set of ground atoms needed for `goal`'s recorded derivation — the
-/// derivation DAG unwound from the goal. `None` if the goal was not
-/// derived or the database has no provenance.
-pub fn derivation_cone(db: &Database, goal: &GroundAtom) -> Option<HashSet<usize>> {
-    if !db.has_provenance() {
-        return None;
-    }
+/// The derivations of `goal`'s cone — the derivation DAG unwound from the
+/// goal, rebuilt from the hints against `layers` (see
+/// [`Database::derivation`]) — keyed by database index. `None` if the
+/// goal was not derived or some derivation cannot be rebuilt.
+pub fn derivation_cone(
+    db: &Database,
+    layers: &[Layer],
+    goal: &GroundAtom,
+) -> Option<BTreeMap<usize, Derivation>> {
     let root = db.index_of(goal)?;
-    let mut cone = HashSet::new();
+    let mut cone = BTreeMap::new();
     let mut stack = vec![root];
     while let Some(i) = stack.pop() {
-        if cone.insert(i) {
-            let (_, body) = db.derivation(i);
-            stack.extend(body.iter().copied());
+        if let Entry::Vacant(slot) = cone.entry(i) {
+            let d = db.derivation(i, layers)?;
+            stack.extend(d.body.iter().copied());
+            slot.insert(d);
         }
     }
     Some(cone)
@@ -913,6 +1030,7 @@ mod tests {
     use super::*;
     use crate::ast::{Atom, Term};
     use crate::naive::NaiveEvaluator;
+    use std::collections::HashSet;
 
     /// Transitive closure over a path a → b → c → d.
     fn tc_program() -> (Program, PredId, Vec<Const>) {
@@ -986,28 +1104,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn derivations_recorded_when_provenance_on() {
-        let (p, path, c) = tc_program();
-        let db = Evaluator::new(&p).with_provenance(true).run();
-        assert!(db.has_provenance());
-        let goal = GroundAtom::new(path, vec![c[0], c[3]]);
-        let idx = db.index_of(&goal).unwrap();
-        let (_rule, body) = db.derivation(idx);
-        assert!(!body.is_empty());
-        let cone = derivation_cone(&db, &goal).unwrap();
-        assert!(cone.len() >= 4);
-        // Facts have empty derivations.
-        let (_, fact_body) = db.derivation(0);
-        assert!(fact_body.is_empty());
+    /// Whether `d` is a ground instance of its rule with head atom `i`
+    /// and body atoms all below `i`.
+    fn is_instance(db: &Database, rules: &[Rule], i: usize, d: &Derivation) -> bool {
+        let Some(ri) = d.rule else {
+            return d.body.is_empty();
+        };
+        let body: Vec<GroundAtom> = d.body.iter().map(|&j| db.ground(j)).collect();
+        rules[ri].is_instance(&db.ground(i), &body) && d.body.iter().all(|&j| j < i)
     }
 
     #[test]
-    fn provenance_off_by_default() {
+    fn derivations_are_rebuilt_from_hints() {
         let (p, path, c) = tc_program();
-        let db = Evaluator::new(&p).run();
-        assert!(!db.has_provenance());
-        assert!(derivation_cone(&db, &GroundAtom::new(path, vec![c[0], c[3]])).is_none());
+        let ev = Evaluator::new(&p);
+        let db = ev.run();
+        let layers = [ev.layer()];
+        let goal = GroundAtom::new(path, vec![c[0], c[3]]);
+        let idx = db.index_of(&goal).unwrap();
+        let d = db.derivation(idx, &layers).unwrap();
+        assert!(!d.body.is_empty());
+        for i in 0..db.len() {
+            let d = db.derivation(i, &layers).unwrap();
+            assert!(is_instance(&db, p.rules(), i, &d), "atom {i}: {d:?}");
+        }
+        let cone = derivation_cone(&db, &layers, &goal).unwrap();
+        assert!(cone.len() >= 4);
+        // Facts have empty derivations.
+        assert_eq!(
+            db.derivation(0, &layers),
+            Some(Derivation {
+                rule: Some(0),
+                body: vec![]
+            })
+        );
+        assert!(derivation_cone(&db, &layers, &GroundAtom::new(path, vec![c[3], c[0]])).is_none());
+    }
+
+    /// The rebuild skips firings that read atoms derived after the atom:
+    /// `h(a)` fires in round 0 on `e(a, c)`, `f(c)`; the join meets
+    /// `e(a, b)` first, but `f(b)` only arrives three rounds later.
+    #[test]
+    fn derivations_read_only_earlier_atoms() {
+        let mut p = Program::new();
+        let [d, e, f, g0, g1, g2, h] = [
+            ("d", 1),
+            ("e", 2),
+            ("f", 1),
+            ("g0", 1),
+            ("g1", 1),
+            ("g2", 1),
+            ("h", 1),
+        ]
+        .map(|(n, arity)| p.predicate(n, arity));
+        let [a, b, c] = ["a", "b", "c"].map(|n| p.constant(n));
+        p.fact(d, vec![a]).unwrap();
+        p.fact(e, vec![a, b]).unwrap();
+        p.fact(e, vec![a, c]).unwrap();
+        // More `f` facts than `e` facts per key: the planner joins `e`
+        // before `f`.
+        for n in ["c", "x1", "x2", "x3"] {
+            let k = p.constant(n);
+            p.fact(f, vec![k]).unwrap();
+        }
+        p.fact(g0, vec![b]).unwrap();
+        let (x, y) = (Term::Var(0), Term::Var(1));
+        for (head, body) in [(g1, g0), (g2, g1), (f, g2)] {
+            p.rule(Atom::new(head, vec![x]), vec![Atom::new(body, vec![x])])
+                .unwrap();
+        }
+        p.rule(
+            Atom::new(h, vec![x]),
+            vec![
+                Atom::new(d, vec![x]),
+                Atom::new(e, vec![x, y]),
+                Atom::new(f, vec![y]),
+            ],
+        )
+        .unwrap();
+        let ev = Evaluator::new(&p);
+        let db = ev.run();
+        let layers = [ev.layer()];
+        let hi = db.index_of(&GroundAtom::new(h, vec![a])).unwrap();
+        assert!(db.index_of(&GroundAtom::new(f, vec![b])).unwrap() > hi);
+        let got = db.derivation(hi, &layers).unwrap();
+        let want: Vec<usize> = [
+            GroundAtom::new(d, vec![a]),
+            GroundAtom::new(e, vec![a, c]),
+            GroundAtom::new(f, vec![c]),
+        ]
+        .iter()
+        .map(|g| db.index_of(g).unwrap())
+        .collect();
+        assert_eq!(got.body, want);
+        for i in 0..db.len() {
+            let d = db.derivation(i, &layers).unwrap();
+            assert!(is_instance(&db, p.rules(), i, &d), "atom {i}: {d:?}");
+        }
     }
 
     /// Rule bodies with repeated variables filter correctly.
@@ -1104,18 +1297,21 @@ mod tests {
             ],
         )
         .unwrap();
-        let base = Evaluator::new(&p).with_provenance(true).run();
+        let ev = Evaluator::new(&p);
+        let base = ev.run();
+        let layers = [ev.layer()];
         let base_atoms: Vec<GroundAtom> = base.iter().collect();
         for threads in [2, 4, 7] {
-            let db = Evaluator::new(&p)
-                .with_provenance(true)
-                .with_threads(threads)
-                .run();
+            let db = Evaluator::new(&p).with_threads(threads).run();
             assert_eq!(db.len(), base.len(), "threads={threads}");
             let atoms: Vec<GroundAtom> = db.iter().collect();
             assert_eq!(atoms, base_atoms, "threads={threads}");
             for i in 0..db.len() {
-                assert_eq!(db.derivation(i), base.derivation(i), "threads={threads}");
+                assert_eq!(
+                    db.derivation(i, &layers),
+                    base.derivation(i, &layers),
+                    "threads={threads}"
+                );
             }
         }
     }
@@ -1195,6 +1391,27 @@ mod tests {
         assert_eq!(got, want);
         assert!(db.contains(&GroundAtom::new(reach, vec![c[3]])));
         assert!(!db.contains(&GroundAtom::new(reach, vec![c[1]])));
+        // Derivations rebuild across both layers; the extension's rule
+        // ids follow the program's, and its facts carry no rule.
+        let layers = [
+            ev.layer(),
+            Layer {
+                rules: &rules,
+                plan: &ext_plan,
+            },
+        ];
+        let all_rules: Vec<Rule> = p.rules().iter().chain(&rules).cloned().collect();
+        for i in 0..db.len() {
+            let d = db.derivation(i, &layers).unwrap();
+            assert!(is_instance(&db, &all_rules, i, &d), "atom {i}: {d:?}");
+        }
+        let start_idx = db.index_of(&facts[0]).unwrap();
+        assert_eq!(db.derivation(start_idx, &layers).unwrap().rule, None);
+        let reach_idx = db.index_of(&GroundAtom::new(reach, vec![c[3]])).unwrap();
+        assert_eq!(
+            db.derivation(reach_idx, &layers).unwrap().rule,
+            Some(p.rules().len())
+        );
 
         let base_only = vec![Rule {
             head: Atom::new(reach, vec![y]),

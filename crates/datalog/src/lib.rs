@@ -18,8 +18,9 @@
 //!   arity validation) and a text [`parser`];
 //! * [`eval`] — indexed semi-naive bottom-up evaluation (`Prog ⊢ g` for
 //!   arbitrary positive Datalog): an interned tuple [`arena`],
-//!   column-keyed join indices driven by a static join [`plan`], optional
-//!   provenance, and deterministic parallel delta batches;
+//!   column-keyed join indices driven by a static join [`plan`], one
+//!   derivation hint per atom (derivations rebuilt on demand), and
+//!   deterministic parallel delta batches;
 //! * [`naive`] — the unindexed reference evaluator the optimized engine is
 //!   differentially pinned against (fuzzing, benchmarks);
 //! * [`linear`] — the linear-Datalog fragment check and a worklist
@@ -45,7 +46,7 @@ pub mod translate;
 pub use arena::{AtomId, TupleStore};
 pub use ast::{Atom, Const, GroundAtom, PredId, Program, Rule, Term};
 pub use cache::{cache_schedule, prove_with_cache, CacheSchedule};
-pub use eval::{Database, Evaluator, ExtendError};
+pub use eval::{Database, Derivation, Evaluator, ExtendError, Layer};
 pub use linear::{is_linear, LinearEvaluator};
 pub use naive::NaiveEvaluator;
 pub use plan::PlanCache;

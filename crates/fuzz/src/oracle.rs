@@ -18,7 +18,8 @@
 use crate::gen::GenConfig;
 use parra_core::makep::{DatalogTarget, MakeP, MakePLimits};
 use parra_core::verify::{EngineId, Verdict, Verifier, VerifierError, VerifierOptions};
-use parra_datalog::{Evaluator, NaiveEvaluator, PlanCache};
+use parra_datalog::eval::derivation_cone;
+use parra_datalog::{Evaluator, Layer, NaiveEvaluator, PlanCache};
 use parra_program::parser::parse_system;
 use parra_program::pretty;
 use parra_program::system::ParamSystem;
@@ -482,7 +483,10 @@ impl Oracle for Monotonicity {
 /// The same reference also pins the engine's *incremental* fleet: the
 /// fleet's base (built over every guess, as the engine builds it),
 /// saturated once and continued with a checked guess's extension, must
-/// reach the very same least model.
+/// reach the very same least model. On a winning guess it also pins the
+/// derivation hints the witness is read off: every derivation rebuilt in
+/// the goal's cone must be an instance of its rule (or one of the
+/// extension's facts) whose body lies in the reference model.
 pub struct EvalAgree;
 
 /// Guesses checked per system (full-database comparison is quadratic in
@@ -580,6 +584,45 @@ impl Oracle for EvalAgree {
                     "guess {gi}: evaluators disagree on the goal {}",
                     prog.display_ground(&goal)
                 ));
+            }
+            if incremental.contains(base.goal()) {
+                let layers = [
+                    base_eval.layer(),
+                    Layer {
+                        rules: ext.rules(),
+                        plan: &ext_plan,
+                    },
+                ];
+                let Some(cone) = derivation_cone(&incremental, &layers, base.goal()) else {
+                    return OracleOutcome::Fail(format!(
+                        "guess {gi}: the goal's derivation cone cannot be rebuilt from its hints"
+                    ));
+                };
+                let rules: Vec<_> = base.program().rules().iter().chain(ext.rules()).collect();
+                for (i, d) in cone {
+                    let head = incremental.ground(i);
+                    let body: Vec<_> = d.body.iter().map(|&j| incremental.ground(j)).collect();
+                    let valid = match d.rule {
+                        Some(r) => rules[r].is_instance(&head, &body),
+                        None => body.is_empty() && ext.facts().contains(&head),
+                    };
+                    let shown = base.program().display_ground(&head);
+                    if !valid {
+                        return OracleOutcome::Fail(format!(
+                            "guess {gi}: rebuilt derivation of {shown} is no instance of its rule"
+                        ));
+                    }
+                    if let Some(g) = body
+                        .iter()
+                        .map(|g| base.program().display_ground(g))
+                        .find(|g| !slow_set.contains(g))
+                    {
+                        return OracleOutcome::Fail(format!(
+                            "guess {gi}: rebuilt derivation of {shown} reads {g}, \
+                             outside the naive reference model"
+                        ));
+                    }
+                }
             }
         }
         OracleOutcome::Pass
